@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-ratchet bench bench-parallel bench-json bench-check \
+.PHONY: build test race vet lint lint-ratchet bench bench-sim bench-parallel bench-json bench-check \
 	fmt check verify fuzz-smoke cover cover-check serve-smoke
 
 build:
@@ -31,6 +31,12 @@ lint-ratchet:
 # The full reproduction benchmarks (one per paper table/figure).
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
+
+# The simulator: one epoch's visibility sweep over the national map, and
+# a two-epoch sim.Run end to end.
+bench-sim:
+	$(GO) test -bench BenchmarkVisibleSats -run '^$$' ./internal/sim
+	$(GO) test -bench BenchmarkSimCoverage -benchtime 3x -run '^$$' .
 
 # Serial vs pooled comparison for the parallel execution engine.
 bench-parallel:

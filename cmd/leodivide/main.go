@@ -258,7 +258,7 @@ func runOne(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodivide.D
 	}
 	switch name {
 	case "simcheck":
-		return runSimCheck(ctx, w, ds)
+		return runSimCheck(ctx, w, ds, m.Workers)
 	case "ablate":
 		return runAblate(w, m, ds)
 	case "linkbudget":
@@ -437,8 +437,9 @@ func renderFindings(ctx context.Context, w io.Writer, m leodivide.Model, ds *leo
 	return err
 }
 
-func runSimCheck(ctx context.Context, w io.Writer, ds *leodivide.Dataset) error {
+func runSimCheck(ctx context.Context, w io.Writer, ds *leodivide.Dataset, workers int) error {
 	cfg := sim.DefaultConfig()
+	cfg.Parallelism = workers
 	res, err := sim.Run(ctx, cfg, ds.Cells)
 	if err != nil {
 		return err

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"leodivide/internal/obs"
 	"leodivide/internal/safeio"
 )
 
@@ -71,6 +72,34 @@ func TestFig3Command(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("fig3 output missing %q", want)
 		}
+	}
+}
+
+// TestSimCheckHonorsParallelism requires simcheck's stdout to be
+// identical at -parallelism 1 and 0, and every worker pool of the
+// serial run, the simulator's included, to run on one worker.
+func TestSimCheckHonorsParallelism(t *testing.T) {
+	rc := &obs.RecordingCollector{}
+	restore := obs.SetCollector(rc)
+	serial := runCmd(t, "-parallelism", "1", "simcheck")
+	restore()
+	sweeps := 0
+	for _, s := range rc.Spans() {
+		if s.Name != "par.sweep" {
+			continue
+		}
+		sweeps++
+		for _, a := range s.Attrs {
+			if a.Key == "workers" && a.Value != "1" {
+				t.Fatalf("par.sweep %v ran on %s workers under -parallelism 1", s.Attrs, a.Value)
+			}
+		}
+	}
+	if sweeps == 0 {
+		t.Fatal("no par.sweep spans recorded")
+	}
+	if pooled := runCmd(t, "-parallelism", "0", "simcheck"); pooled != serial {
+		t.Errorf("simcheck stdout differs between -parallelism 1 and 0:\n%s\nvs\n%s", serial, pooled)
 	}
 }
 

@@ -245,9 +245,15 @@ func Visible(sat geo.Vec3, p geo.LatLng, minElevationDeg float64) bool {
 // position sat as seen from ground point p, in degrees. Negative values
 // mean the satellite is below the horizon.
 func ElevationDeg(sat geo.Vec3, p geo.LatLng) float64 {
-	ground := p.Vector().Scale(geo.EarthRadiusKm)
-	los := sat.Sub(ground)
-	up := p.Vector()
+	return ElevationDegFrom(sat, p.Vector())
+}
+
+// ElevationDegFrom is ElevationDeg for a ground point given as its unit
+// vector up = p.Vector(), for callers that test many satellites against
+// one point. It performs the same float operations, so the two agree
+// bit for bit.
+func ElevationDegFrom(sat, up geo.Vec3) float64 {
+	los := sat.Sub(up.Scale(geo.EarthRadiusKm))
 	sinEl := los.Dot(up) / los.Norm()
 	return geo.Degrees(math.Asin(sinEl))
 }

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"leodivide/internal/beams"
@@ -46,7 +47,8 @@ type Config struct {
 	// Gateways are the ground-station sites for bent-pipe mode.
 	Gateways []geo.LatLng
 	// GatewayElevationDeg is the minimum elevation at the gateway
-	// (gateway antennas track lower than user terminals).
+	// (gateway antennas track lower than user terminals), in [0, 90).
+	// 0 means the 10° default.
 	GatewayElevationDeg float64
 	// Parallelism bounds the worker count for the per-epoch geometry
 	// (satellite propagation, per-cell visibility). 0 means one worker
@@ -91,6 +93,12 @@ func (c Config) Validate() error {
 	if c.MinElevationDeg < 0 || c.MinElevationDeg >= 90 {
 		return fmt.Errorf("sim: elevation mask %v out of range", c.MinElevationDeg)
 	}
+	if c.GatewayElevationDeg < 0 || c.GatewayElevationDeg >= 90 {
+		return fmt.Errorf("sim: gateway elevation mask %v out of range", c.GatewayElevationDeg)
+	}
+	if c.RequireGatewayVisibility && len(c.Gateways) == 0 {
+		return fmt.Errorf("sim: bent-pipe mode needs at least one gateway")
+	}
 	return nil
 }
 
@@ -112,60 +120,23 @@ type Result struct {
 }
 
 // Run propagates the shell and evaluates coverage and beam allocation
-// over the demand cells at each epoch.
+// over the demand cells at each epoch. It aggregates RunSeries.
 func Run(ctx context.Context, cfg Config, cells []demand.Cell) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	if len(cells) == 0 {
-		return Result{}, fmt.Errorf("sim: no demand cells")
-	}
-	orbits, err := cfg.orbits()
+	series, err := RunSeries(ctx, cfg, cells)
 	if err != nil {
 		return Result{}, err
 	}
-
-	res := Result{Epochs: cfg.Epochs}
-	res.MinCoveredFraction = 1
-	res.MinServedFraction = 1
+	res := Result{Epochs: cfg.Epochs, MinCoveredFraction: 1, MinServedFraction: 1}
 	sumVisible, sumCovered, sumServed := 0.0, 0.0, 0.0
-
-	for e := 0; e < cfg.Epochs; e++ {
-		t := cfg.StepSeconds * float64(e)
-		snap, err := snapshotWithMask(ctx, orbits, t, cfg.MinElevationDeg, cfg.Parallelism)
-		if err != nil {
-			return Result{}, err
+	for _, e := range series {
+		sumCovered += e.CoveredFraction
+		sumServed += e.ServedFraction
+		sumVisible += e.MeanVisible
+		if e.CoveredFraction < res.MinCoveredFraction {
+			res.MinCoveredFraction = e.CoveredFraction
 		}
-		visible, err := visibleSats(ctx, snap, cells, cfg.MinElevationDeg, cfg.Parallelism)
-		if err != nil {
-			return Result{}, err
-		}
-		visible = filterByGateway(cfg, snap, visible)
-		covered := 0
-		totalVisible := 0
-		for _, v := range visible {
-			if len(v) > 0 {
-				covered++
-			}
-			totalVisible += len(v)
-		}
-		assignment, _ := allocateAssign(cfg, cells, visible, len(snap))
-		served := 0
-		for _, a := range assignment {
-			if a >= 0 {
-				served++
-			}
-		}
-		cf := float64(covered) / float64(len(cells))
-		sf := float64(served) / float64(len(cells))
-		sumCovered += cf
-		sumServed += sf
-		sumVisible += float64(totalVisible) / float64(len(cells))
-		if cf < res.MinCoveredFraction {
-			res.MinCoveredFraction = cf
-		}
-		if sf < res.MinServedFraction {
-			res.MinServedFraction = sf
+		if e.ServedFraction < res.MinServedFraction {
+			res.MinServedFraction = e.ServedFraction
 		}
 	}
 	res.MeanVisibleSats = sumVisible / float64(cfg.Epochs)
@@ -178,7 +149,130 @@ func Run(ctx context.Context, cfg Config, cells []demand.Cell) (Result, error) {
 type satPos struct {
 	ecef     geo.Vec3
 	sub      geo.LatLng
-	covAngle float64 // Earth-central coverage half-angle, radians
+	unit     geo.Vec3 // sub.Vector()
+	covAngle float64  // Earth-central coverage half-angle, radians
+	minDot   float64  // cos(covAngle) - prefilterMargin
+	linked   bool     // a gateway is in view; always true outside bent-pipe mode
+}
+
+// prefilterMargin is how far a candidate's dot product cv·sv may fall
+// below cos(covAngle) and still reach the exact coverage test. The exact
+// test computes the angle as atan2(|cv×sv|, cv·sv) on vectors within a
+// few ulps of unit length, so that angle and the dot product are each
+// within ~1e-15 of their true values. A satellite that passes the exact
+// test therefore has cv·sv >= cos(covAngle) - ~2e-15 (cos is
+// 1-Lipschitz), and a margin six orders of magnitude larger rejects
+// only candidates the exact test would reject too.
+const prefilterMargin = 1e-9
+
+// Satellites are bucketed by subsatellite point on a 6° grid.
+const (
+	bucketDeg  = 6.0
+	latBuckets = 30 // 180 / bucketDeg
+	lngBuckets = 60 // 360 / bucketDeg
+)
+
+// windowPadDeg widens every scan window past the footprint radius, so
+// float rounding in bucket keys and window bounds cannot drop a
+// satellite that sits on a bucket edge.
+const windowPadDeg = 1e-6
+
+// window is the bucket range one cell scans: latitude rows row0..row1,
+// and cols consecutive longitude columns from col0, wrapping mod 360°.
+type window struct{ row0, row1, col0, cols int32 }
+
+// latRow and lngCol are the bucket coordinates of a point.
+func latRow(lat float64) int32 {
+	return int32(min(max(math.Floor((lat+90)/bucketDeg), 0), latBuckets-1))
+}
+
+func lngCol(lng float64) int32 { return wrapCol(math.Floor(lng / bucketDeg)) }
+
+func wrapCol(col float64) int32 {
+	c := int32(math.Mod(col, lngBuckets))
+	if c < 0 {
+		c += lngBuckets
+	}
+	return c
+}
+
+// scanWindow returns the buckets that can hold the subsatellite point
+// of any satellite within reachDeg of p. A point within reachDeg of p
+// differs from it in latitude by at most reachDeg. The great-circle arc
+// from p to it stays inside the cap of radius reachDeg, so its latitude
+// never exceeds φm = |p.Lat| + reachDeg, and along an arc of length s
+// the longitude advances by at most s/cos φm. Caps that come within 1°
+// of a pole, or whose longitude span would wrap the globe, scan every
+// longitude.
+func scanWindow(p geo.LatLng, reachDeg float64) window {
+	w := window{row0: latRow(p.Lat - reachDeg), row1: latRow(p.Lat + reachDeg), cols: lngBuckets}
+	poleward := math.Abs(p.Lat) + reachDeg
+	if poleward >= 89 {
+		return w
+	}
+	half := reachDeg / math.Cos(geo.Radians(poleward))
+	lo := math.Floor((p.Lng - half) / bucketDeg)
+	hi := math.Floor((p.Lng + half) / bucketDeg)
+	if hi-lo+1 < lngBuckets {
+		w.col0, w.cols = wrapCol(lo), int32(hi-lo+1)
+	}
+	return w
+}
+
+// runner is one simulation call's state. Everything that does not
+// change between epochs is computed once here: the orbits, the cells'
+// unit vectors and scan windows, and the gateways' unit vectors. Each
+// epoch then costs one propagation sweep over the satellites and one
+// visibility sweep over the cells.
+type runner struct {
+	cfg      Config
+	orbits   []orbit.CircularOrbit
+	cellVecs []geo.Vec3
+	windows  []window
+	gateways []geo.Vec3 // unit vectors; nil unless bent-pipe mode is on
+	gwMask   float64
+	// index buckets the epoch's linked satellites by subsatellite
+	// point; rebuilt (reusing its slices) at every epoch.
+	index [latBuckets * lngBuckets][]int32
+}
+
+func newRunner(cfg Config, cells []demand.Cell) (*runner, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if len(cells) == 0 {
+		return nil, fmt.Errorf("sim: no demand cells")
+	}
+	orbits, err := cfg.orbits()
+	if err != nil {
+		return nil, err
+	}
+	r := &runner{
+		cfg:      cfg,
+		orbits:   orbits,
+		cellVecs: make([]geo.Vec3, len(cells)),
+		windows:  make([]window, len(cells)),
+	}
+	// The scan reach must cover the widest footprint present.
+	covAngle := 0.0
+	for _, o := range orbits {
+		covAngle = max(covAngle, coverageAngleFor(o.AltitudeKm, cfg.MinElevationDeg))
+	}
+	reachDeg := geo.Degrees(covAngle) + windowPadDeg
+	for i, c := range cells {
+		r.cellVecs[i] = c.Center.Vector()
+		r.windows[i] = scanWindow(c.Center, reachDeg)
+	}
+	if cfg.RequireGatewayVisibility {
+		r.gwMask = cfg.GatewayElevationDeg
+		if r.gwMask == 0 {
+			r.gwMask = 10
+		}
+		for _, gw := range cfg.Gateways {
+			r.gateways = append(r.gateways, gw.Vector())
+		}
+	}
+	return r, nil
 }
 
 // orbits expands the configured shell or fleet, tagging each orbit.
@@ -189,84 +283,77 @@ func (c Config) orbits() ([]orbit.CircularOrbit, error) {
 	return c.Shell.Orbits()
 }
 
-func snapshotWithMask(ctx context.Context, orbits []orbit.CircularOrbit, t, minElev float64, workers int) ([]satPos, error) {
-	return par.Map(ctx, workers, len(orbits), func(i int) (satPos, error) {
-		o := orbits[i]
+// snapshot propagates every satellite to time t.
+func (r *runner) snapshot(ctx context.Context, t float64) ([]satPos, error) {
+	minElev := r.cfg.MinElevationDeg
+	return par.Map(ctx, r.cfg.Parallelism, len(r.orbits), func(i int) (satPos, error) {
+		o := r.orbits[i]
 		ecef := orbit.ECIToECEF(o.PositionECI(t), t)
+		sub := ecef.LatLng()
+		covAngle := coverageAngleFor(o.AltitudeKm, minElev)
 		return satPos{
 			ecef:     ecef,
-			sub:      ecef.LatLng(),
-			covAngle: coverageAngleFor(o.AltitudeKm, minElev),
+			sub:      sub,
+			unit:     sub.Vector(),
+			covAngle: covAngle,
+			minDot:   math.Cos(covAngle) - prefilterMargin,
+			linked:   r.linked(ecef),
 		}, nil
 	})
 }
 
-// visibleSats returns, per demand cell, the indices of satellites above
-// the elevation mask, using a latitude/longitude bucket index to avoid
-// the all-pairs scan. The bucket index is built once serially; the
-// per-cell scans fan out over workers, each writing its own slot.
-func visibleSats(ctx context.Context, sats []satPos, cells []demand.Cell, minElev float64, workers int) ([][]int, error) {
-	// The bucket scan reach must cover the widest footprint present.
-	covAngle := 0.0
-	for _, s := range sats {
-		if s.covAngle > covAngle {
-			covAngle = s.covAngle
+// linked reports whether a gateway sees the satellite at ecef above the
+// gateway mask; always true outside bent-pipe mode.
+func (r *runner) linked(ecef geo.Vec3) bool {
+	if r.gateways == nil {
+		return true
+	}
+	for _, gw := range r.gateways {
+		if orbit.ElevationDegFrom(ecef, gw) >= r.gwMask {
+			return true
 		}
 	}
-	const bucketDeg = 6.0
-	latBuckets := int(math.Ceil(180 / bucketDeg))
-	lngBuckets := int(math.Ceil(360 / bucketDeg))
-	index := make(map[int][]int)
-	key := func(lat, lng float64) int {
-		bi := int((lat + 90) / bucketDeg)
-		bj := int(math.Mod(lng+360, 360) / bucketDeg)
-		if bi >= latBuckets {
-			bi = latBuckets - 1
-		}
-		if bj >= lngBuckets {
-			bj = lngBuckets - 1
-		}
-		return bi*lngBuckets + bj
+	return false
+}
+
+// visibleSats returns, per demand cell, the ascending indices of the
+// linked satellites above the elevation mask. The bucket index is built
+// serially; the per-cell scans fan out over workers, each writing its
+// own slot. A candidate costs one dot product unless it survives the
+// prefilter, and then runs the exact tests: the central angle within
+// the footprint and the elevation above the mask.
+func (r *runner) visibleSats(ctx context.Context, sats []satPos) ([][]int, error) {
+	for k := range r.index {
+		r.index[k] = r.index[k][:0]
 	}
 	for i, s := range sats {
-		k := key(s.sub.Lat, s.sub.Lng)
-		index[k] = append(index[k], i)
+		if s.linked {
+			k := latRow(s.sub.Lat)*lngBuckets + lngCol(s.sub.Lng)
+			r.index[k] = append(r.index[k], int32(i))
+		}
 	}
-	reachDeg := geo.Degrees(covAngle) + bucketDeg
-	steps := int(math.Ceil(reachDeg / bucketDeg))
-	out := make([][]int, len(cells))
-	err := par.ForEach(ctx, workers, len(cells), func(ci int) error {
-		c := cells[ci]
-		var vis []int
-		baseLat := c.Center.Lat
-		for di := -steps; di <= steps; di++ {
-			lat := baseLat + float64(di)*bucketDeg
-			if lat < -90 || lat > 90 {
-				continue
-			}
-			// Longitude buckets shrink with latitude; widen the scan.
-			lngStep := bucketDeg
-			cosLat := math.Cos(geo.Radians(lat))
-			span := steps
-			if cosLat > 0.05 {
-				span = int(math.Ceil(reachDeg / (bucketDeg * cosLat)))
-			} else {
-				span = lngBuckets / 2
-			}
-			for dj := -span; dj <= span; dj++ {
-				lng := c.Center.Lng + float64(dj)*lngStep
-				for _, si := range index[key(lat, lng)] {
-					if geo.AngularDistance(c.Center, sats[si].sub) <= sats[si].covAngle {
-						if orbit.ElevationDeg(sats[si].ecef, c.Center) >= minElev {
-							vis = append(vis, si)
-						}
+	minElev := r.cfg.MinElevationDeg
+	out := make([][]int, len(r.cellVecs))
+	err := par.ForEach(ctx, r.cfg.Parallelism, len(out), func(ci int) error {
+		cv, w := r.cellVecs[ci], r.windows[ci]
+		// Gather on the stack; copy out once, at the final size.
+		var buf [64]int
+		vis := buf[:0]
+		for row := w.row0; row <= w.row1; row++ {
+			for k := int32(0); k < w.cols; k++ {
+				for _, si := range r.index[row*lngBuckets+(w.col0+k)%lngBuckets] {
+					s := &sats[si]
+					if cv.Dot(s.unit) >= s.minDot && cv.AngleTo(s.unit) <= s.covAngle &&
+						orbit.ElevationDegFrom(s.ecef, cv) >= minElev {
+						vis = append(vis, int(si))
 					}
 				}
 			}
 		}
-		sort.Ints(vis)
-		vis = dedupe(vis)
-		out[ci] = vis
+		if len(vis) > 0 {
+			sort.Ints(vis)
+			out[ci] = slices.Clone(vis)
+		}
 		return nil
 	})
 	if err != nil {
@@ -275,57 +362,8 @@ func visibleSats(ctx context.Context, sats []satPos, cells []demand.Cell, minEle
 	return out, nil
 }
 
-func dedupe(a []int) []int {
-	out := a[:0]
-	for i, v := range a {
-		if i == 0 || v != a[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // coverageAngleFor returns the Earth-central coverage half-angle of a
 // satellite at the given altitude and elevation mask, in radians.
 func coverageAngleFor(altitudeKm, minElevationDeg float64) float64 {
 	return orbit.CoverageRadiusKm(altitudeKm, minElevationDeg) / geo.EarthRadiusKm
-}
-
-// sortByDemandDesc orders cell indices by descending location count.
-func sortByDemandDesc(order []int, cells []demand.Cell) {
-	sort.Slice(order, func(a, b int) bool {
-		return cells[order[a]].Locations > cells[order[b]].Locations
-	})
-}
-
-// filterByGateway drops satellites without a gateway in view from every
-// cell's visibility list when bent-pipe mode is on.
-func filterByGateway(cfg Config, sats []satPos, visible [][]int) [][]int {
-	if !cfg.RequireGatewayVisibility || len(cfg.Gateways) == 0 {
-		return visible
-	}
-	mask := cfg.GatewayElevationDeg
-	if mask <= 0 {
-		mask = 10
-	}
-	ok := make([]bool, len(sats))
-	for i, s := range sats {
-		for _, gw := range cfg.Gateways {
-			if orbit.ElevationDeg(s.ecef, gw) >= mask {
-				ok[i] = true
-				break
-			}
-		}
-	}
-	out := make([][]int, len(visible))
-	for ci, vis := range visible {
-		kept := vis[:0]
-		for _, si := range vis {
-			if ok[si] {
-				kept = append(kept, si)
-			}
-		}
-		out[ci] = kept
-	}
-	return out
 }

@@ -2,7 +2,7 @@ package sim
 
 import (
 	"context"
-
+	"reflect"
 	"testing"
 
 	"leodivide/internal/constellation"
@@ -135,8 +135,88 @@ func TestValidation(t *testing.T) {
 	if _, err := Run(context.Background(), bad, cells); err == nil {
 		t.Error("bad shell should fail")
 	}
+	for _, mask := range []float64{-1, 90, 95} {
+		bad = DefaultConfig()
+		bad.GatewayElevationDeg = mask
+		if _, err := Run(context.Background(), bad, cells); err == nil {
+			t.Errorf("gateway elevation mask %v should fail", mask)
+		}
+	}
 	if _, err := Run(context.Background(), DefaultConfig(), nil); err == nil {
 		t.Error("no cells should fail")
+	}
+}
+
+// TestDeterministicAcrossParallelism requires Run, RunSeries and
+// CoverageByLatitude to return identical results at every worker count,
+// free and bent-pipe.
+func TestDeterministicAcrossParallelism(t *testing.T) {
+	cells := smallUSCells(t)
+	base := DefaultConfig()
+	base.Epochs = 4
+	for _, cfg := range []Config{base, bentPipe(base)} {
+		var refRun Result
+		var refSeries []EpochStats
+		var refBands []LatitudeBand
+		for _, p := range []int{1, 2, 4} {
+			cfg.Parallelism = p
+			res, err := Run(context.Background(), cfg, cells)
+			if err != nil {
+				t.Fatal(err)
+			}
+			series, err := RunSeries(context.Background(), cfg, cells)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bands, err := CoverageByLatitude(context.Background(), cfg, cells, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p == 1 {
+				refRun, refSeries, refBands = res, series, bands
+				continue
+			}
+			if !reflect.DeepEqual(res, refRun) {
+				t.Errorf("Run at parallelism %d: %+v, serial %+v", p, res, refRun)
+			}
+			if !reflect.DeepEqual(series, refSeries) {
+				t.Errorf("RunSeries at parallelism %d differs from serial", p)
+			}
+			if !reflect.DeepEqual(bands, refBands) {
+				t.Errorf("CoverageByLatitude at parallelism %d differs from serial", p)
+			}
+		}
+	}
+}
+
+// TestPinnedResults pins the default free and bent-pipe results on the
+// scale-0.05, seed-1 US map to the values of the original trigonometric
+// sweep: the optimized sweep must not move a bit.
+func TestPinnedResults(t *testing.T) {
+	cells := smallUSCells(t)
+	if len(cells) != 1358 {
+		t.Fatalf("scale-0.05 map has %d cells, want 1358", len(cells))
+	}
+	free := DefaultConfig()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want Result
+	}{
+		{"free", free, Result{Epochs: 16, MeanVisibleSats: 12.012564432989691,
+			MinCoveredFraction: 0.9911634756995582, MeanCoveredFraction: 0.991209499263623,
+			MinServedFraction: 0.9911634756995582, MeanServedFraction: 0.991209499263623}},
+		{"bent", bentPipe(free), Result{Epochs: 16, MeanVisibleSats: 12.008882547864507,
+			MinCoveredFraction: 0.9911634756995582, MeanCoveredFraction: 0.991209499263623,
+			MinServedFraction: 0.9911634756995582, MeanServedFraction: 0.991209499263623}},
+	} {
+		got, err := Run(context.Background(), tc.cfg, cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: got %#v\nwant %#v", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -200,15 +280,13 @@ func TestGatewayRequirementFilters(t *testing.T) {
 			rg.MeanCoveredFraction, rf.MeanCoveredFraction)
 	}
 
-	// With no gateways at all, bent-pipe service collapses to zero.
+	// Bent-pipe mode without gateways is a configuration error, not a
+	// silently disabled filter.
 	none := gated
 	none.Gateways = nil
-	none.RequireGatewayVisibility = true
-	rn, err := Run(context.Background(), none, cells)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Run(context.Background(), none, cells); err == nil {
+		t.Error("bent-pipe mode with no gateways should fail")
 	}
-	_ = rn // nil gateway list disables the filter by design
 }
 
 func TestFleetSimulation(t *testing.T) {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"leodivide/internal/demand"
@@ -32,17 +31,13 @@ type EpochStats struct {
 // including beam utilization and satellite handover counts — the
 // dynamics a static sizing model cannot see.
 func RunSeries(ctx context.Context, cfg Config, cells []demand.Cell) ([]EpochStats, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(cells) == 0 {
-		return nil, fmt.Errorf("sim: no demand cells")
-	}
-	orbits, err := cfg.orbits()
+	r, err := newRunner(cfg, cells)
 	if err != nil {
 		return nil, err
 	}
-	totalSlots := float64(len(orbits)) * float64(cfg.Beams.BeamsPerSatellite) * cfg.Spread
+	alloc := newAllocator(cfg, cells)
+	nsats := len(r.orbits)
+	totalSlots := float64(nsats) * float64(cfg.Beams.BeamsPerSatellite) * cfg.Spread
 
 	out := make([]EpochStats, 0, cfg.Epochs)
 	prevServer := make([]int, len(cells))
@@ -51,16 +46,15 @@ func RunSeries(ctx context.Context, cfg Config, cells []demand.Cell) ([]EpochSta
 	}
 	for e := 0; e < cfg.Epochs; e++ {
 		t := cfg.StepSeconds * float64(e)
-		snap, err := snapshotWithMask(ctx, orbits, t, cfg.MinElevationDeg, cfg.Parallelism)
+		snap, err := r.snapshot(ctx, t)
 		if err != nil {
 			return nil, err
 		}
-		visible, err := visibleSats(ctx, snap, cells, cfg.MinElevationDeg, cfg.Parallelism)
+		visible, err := r.visibleSats(ctx, snap)
 		if err != nil {
 			return nil, err
 		}
-		visible = filterByGateway(cfg, snap, visible)
-		assignment, used := allocateAssign(cfg, cells, visible, len(snap))
+		assignment, used := alloc.assign(visible, nsats)
 
 		covered, served, totalVisible, handovers := 0, 0, 0, 0
 		for i := range cells {
@@ -88,27 +82,26 @@ func RunSeries(ctx context.Context, cfg Config, cells []demand.Cell) ([]EpochSta
 	return out, nil
 }
 
-// allocateAssign is allocate with per-cell assignment bookkeeping: it
-// returns, for each cell, the serving satellite index (-1 when unmet)
-// and the total cell-slots consumed.
-func allocateAssign(cfg Config, cells []demand.Cell, visible [][]int, nsats int) ([]int, float64) {
-	slots := make([]float64, nsats)
-	perSat := float64(cfg.Beams.BeamsPerSatellite) * cfg.Spread
-	for i := range slots {
-		slots[i] = perSat
+// allocator is the greedy beam allocator's per-call state: the cells in
+// descending-demand order and each cell's beam need, neither of which
+// changes between epochs.
+type allocator struct {
+	order    []int
+	need     []float64 // cell-slots the cell consumes when served
+	feasible []bool    // the need fits within the per-cell beam limit
+	perSat   float64   // cell-slots per satellite
+}
+
+func newAllocator(cfg Config, cells []demand.Cell) allocator {
+	a := allocator{
+		order:    make([]int, len(cells)),
+		need:     make([]float64, len(cells)),
+		feasible: make([]bool, len(cells)),
+		perSat:   float64(cfg.Beams.BeamsPerSatellite) * cfg.Spread,
 	}
-	order := make([]int, len(cells))
-	for i := range order {
-		order[i] = i
-	}
-	sortByDemandDesc(order, cells)
-	assignment := make([]int, len(cells))
-	for i := range assignment {
-		assignment[i] = -1
-	}
-	consumed := 0.0
-	for _, ci := range order {
-		b, ok := cfg.Beams.BeamsForCell(cells[ci].Locations, cfg.Oversub)
+	for i, c := range cells {
+		a.order[i] = i
+		b, ok := cfg.Beams.BeamsForCell(c.Locations, cfg.Oversub)
 		need := float64(b) * cfg.Spread
 		if b == 1 {
 			need = 1
@@ -116,6 +109,30 @@ func allocateAssign(cfg Config, cells []demand.Cell, visible [][]int, nsats int)
 		if !ok {
 			need = float64(cfg.Beams.MaxBeamsPerCell) * cfg.Spread
 		}
+		a.need[i], a.feasible[i] = need, ok
+	}
+	sort.Slice(a.order, func(i, j int) bool {
+		return cells[a.order[i]].Locations > cells[a.order[j]].Locations
+	})
+	return a
+}
+
+// assign serves cells in descending-demand order, each from its visible
+// satellite with the most free cell-slots. It returns, for each cell,
+// the serving satellite index (-1 when unmet) and the total cell-slots
+// consumed.
+func (a allocator) assign(visible [][]int, nsats int) ([]int, float64) {
+	slots := make([]float64, nsats)
+	for i := range slots {
+		slots[i] = a.perSat
+	}
+	assignment := make([]int, len(a.order))
+	for i := range assignment {
+		assignment[i] = -1
+	}
+	consumed := 0.0
+	for _, ci := range a.order {
+		need := a.need[ci]
 		best, bestFree := -1, 0.0
 		for _, si := range visible[ci] {
 			if slots[si] > bestFree {
@@ -125,7 +142,7 @@ func allocateAssign(cfg Config, cells []demand.Cell, visible [][]int, nsats int)
 		if best >= 0 && bestFree >= need {
 			slots[best] -= need
 			consumed += need
-			if ok {
+			if a.feasible[ci] {
 				assignment[ci] = best
 			}
 		}
@@ -143,26 +160,22 @@ type LatitudeBand struct {
 // CoverageByLatitude measures, at the first epoch, the fraction of
 // cells with at least one visible satellite per latitude band — the
 // view that makes the Alaska coverage cliff of an inclined shell
-// visible.
+// visible. It measures sky visibility, so bent-pipe gating does not
+// apply.
 func CoverageByLatitude(ctx context.Context, cfg Config, cells []demand.Cell, bandDeg float64) ([]LatitudeBand, error) {
-	if err := cfg.Validate(); err != nil {
+	r, err := newRunner(cfg, cells)
+	if err != nil {
 		return nil, err
 	}
-	if len(cells) == 0 {
-		return nil, fmt.Errorf("sim: no demand cells")
-	}
+	r.gateways = nil
 	if bandDeg <= 0 {
 		bandDeg = 5
 	}
-	orbits, err := cfg.orbits()
+	snap, err := r.snapshot(ctx, 0)
 	if err != nil {
 		return nil, err
 	}
-	snap, err := snapshotWithMask(ctx, orbits, 0, cfg.MinElevationDeg, cfg.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	visible, err := visibleSats(ctx, snap, cells, cfg.MinElevationDeg, cfg.Parallelism)
+	visible, err := r.visibleSats(ctx, snap)
 	if err != nil {
 		return nil, err
 	}
