@@ -46,7 +46,7 @@ bench-parallel:
 # BENCH_SCALE / BENCH_WORKERS / BENCH_REPS / BENCH_OUT for other
 # sweeps; CI runs this at small scale and validates the artifact with
 # `bench -check`. Reps default to 3 so per-dataset stage warm-up (the
-# internal/stage memo) is amortized the way a sweep amortizes it.
+# stage memo, internal/memo) is amortized the way a sweep amortizes it.
 BENCH_SCALE ?= 0.05
 BENCH_WORKERS ?= 1,2
 BENCH_REPS ?= 3
@@ -111,6 +111,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFromToken$$' -fuzztime $(FUZZ_TIME) ./internal/hexgrid
 	$(GO) test -run '^$$' -fuzz '^FuzzLatLngToCell$$' -fuzztime $(FUZZ_TIME) ./internal/hexgrid
 	$(GO) test -run '^$$' -fuzz '^FuzzRegionSpec$$' -fuzztime $(FUZZ_TIME) ./internal/region
+	$(GO) test -run '^$$' -fuzz '^FuzzScenarioRequest$$' -fuzztime $(FUZZ_TIME) .
 
 # Coverage with a checked-in floor (COVERAGE_FLOOR, percent). The floor
 # sits ~1pt under the measured total because worker-occupancy branches

@@ -11,8 +11,8 @@ import (
 	"testing"
 
 	"leodivide/internal/core"
-	"leodivide/internal/regions"
 	"leodivide/internal/sim"
+	"leodivide/internal/staterollup"
 )
 
 func benchDataset(b *testing.B) *Dataset {
@@ -294,7 +294,7 @@ func BenchmarkStateRollup(b *testing.B) {
 	ds := benchDataset(b)
 	var n int
 	for i := 0; i < b.N; i++ {
-		profiles, err := regions.ByState(regions.DefaultConfig(), ds.Cells, ds.Incomes)
+		profiles, err := staterollup.ByState(staterollup.DefaultConfig(), ds.Cells, ds.Incomes)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -61,10 +61,10 @@ import (
 	"leodivide/internal/linkbudget"
 	"leodivide/internal/obs"
 	"leodivide/internal/orbit"
-	"leodivide/internal/regions"
 	"leodivide/internal/report"
 	"leodivide/internal/safeio"
 	"leodivide/internal/sim"
+	"leodivide/internal/staterollup"
 	"leodivide/internal/traffic"
 	"leodivide/internal/usgeo"
 )
@@ -661,11 +661,11 @@ func runGen(ctx context.Context, w io.Writer, ds *leodivide.Dataset, seed int64,
 }
 
 func runStates(w io.Writer, m leodivide.Model, ds *leodivide.Dataset) error {
-	cfg := regions.DefaultConfig()
+	cfg := staterollup.DefaultConfig()
 	cfg.Beams = m.Capacity.Beams
 	cfg.MaxOversub = m.MaxOversub
 	cfg.Share = m.AffordShare
-	profiles, err := regions.ByState(cfg, ds.Cells, ds.Incomes)
+	profiles, err := staterollup.ByState(cfg, ds.Cells, ds.Incomes)
 	if err != nil {
 		return err
 	}
@@ -684,7 +684,7 @@ func runStates(w io.Writer, m leodivide.Model, ds *leodivide.Dataset) error {
 	}
 	st := report.NewTable("Most capacity-stressed states (densest cells)",
 		"state", "peak cell", "oversub needed")
-	for _, p := range regions.TopStressed(profiles, 5) {
+	for _, p := range staterollup.TopStressed(profiles, 5) {
 		st.AddRow(p.Abbr, p.PeakCellLocations, fmt.Sprintf("%.1f:1", p.RequiredOversub))
 	}
 	_, err = st.WriteTo(w)

@@ -5,17 +5,17 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"leodivide/internal/beams"
 	"leodivide/internal/demand"
+	"leodivide/internal/memo"
 	"leodivide/internal/orbit"
 	"leodivide/internal/par"
 )
 
 // This file holds core's compute stages: the spread-invariant pieces of
 // the sizing sweeps, memoized per dataset in the Distribution's stage
-// memo (see internal/stage). Two facts make the staging sound:
+// memo (see internal/memo). Two facts make the staging sound:
 //
 //   - The binding scan of sizeWithCap depends on the beam config, the
 //     shell inclination, the oversubscription and the per-cell cap —
@@ -62,65 +62,53 @@ type profilePoint struct {
 	beams    int
 }
 
-// modelCache is core's single anchor entry in a dataset's stage memo:
-// typed maps behind one mutex, so the hot sizing path pays a constant
-// string-key lookup for the anchor plus struct-key map lookups — no
-// per-call key formatting, no allocations on hit.
-type modelCache struct {
-	mu       sync.Mutex
-	scans    map[scanKey]peakScan
-	profiles map[profileKey][]profilePoint
+// modelMemos is core's single anchor entry in a dataset's stage memo:
+// two struct-keyed memos, so the hot sizing path pays one constant
+// string-key lookup for the anchor plus a struct-key lookup — no
+// per-call key formatting. Both are LRU-bounded and coalesce
+// concurrent first uses of a key.
+type modelMemos struct {
+	scans    *memo.Memo[scanKey, peakScan]
+	profiles *memo.Memo[profileKey, []profilePoint]
 }
 
-// modelCacheEntries bounds each typed map: past this many distinct
-// (config, oversub, cap) combinations the map is flushed wholesale.
-// Scenario sweeps use a handful of combinations; only an adversarial
-// caller cycling knobs ever hits the bound, and recomputing is cheap.
-const modelCacheEntries = 256
+const modelMemosKey = "core.model-memos"
 
-const modelCacheKey = "core.model-cache"
-
-// newModelCache is package-level so the anchor lookup passes a static
+// newModelMemos is package-level so the anchor lookup passes a static
 // function value instead of allocating a closure per call.
-var newModelCache = func() (any, error) {
-	return &modelCache{
-		scans:    make(map[scanKey]peakScan),
-		profiles: make(map[profileKey][]profilePoint),
+var newModelMemos = func() (any, error) {
+	return &modelMemos{
+		scans:    memo.New[scanKey, peakScan](0, 0, nil),
+		profiles: memo.New[profileKey, []profilePoint](0, 0, nil),
 	}, nil
 }
 
-// modelCacheOf returns the dataset's model cache, creating it on first
-// use. With a nil stage memo (zero-value Distribution) every call
-// returns a fresh cache: correct, just unmemoized. newModelCache is
-// infallible, so the only error Do can surface is a coalesced leader's
-// panic — re-panicking is the honest translation of that state.
-func modelCacheOf(d *demand.Distribution) *modelCache {
-	v, err := d.Stages().Do(modelCacheKey, newModelCache)
+// modelMemosOf returns the dataset's model memos, creating them on
+// first use. With a nil stage memo (zero-value Distribution) every call
+// returns fresh memos: correct, just unmemoized. newModelMemos is
+// infallible, so the only error Get can surface is a coalesced
+// leader's panic — re-panicking is the honest translation of that
+// state.
+func modelMemosOf(d *demand.Distribution) *modelMemos {
+	v, _, err := d.Stages().Get(context.Background(), modelMemosKey, newModelMemos)
 	if err != nil {
-		panic(fmt.Sprintf("core: model-cache stage failed: %v", err))
+		panic(fmt.Sprintf("core: model-memos stage failed: %v", err))
 	}
-	return v.(*modelCache)
+	return v.(*modelMemos)
 }
 
 // peakScan returns the memoized binding scan for (oversub, capLoc),
-// computing it on first use. Concurrent first uses may compute
-// duplicates; the insert is idempotent.
+// computing it on first use. The scan is a pure in-memory compute with
+// no caller context to honour; as with the anchor, the only error Get
+// can surface is a coalesced leader's panic.
 func (m Model) peakScan(d *demand.Distribution, oversub float64, capLoc int) peakScan {
 	key := scanKey{beams: m.Beams, incDeg: m.InclinationDeg, oversub: oversub, capLoc: capLoc}
-	mc := modelCacheOf(d)
-	mc.mu.Lock()
-	s, ok := mc.scans[key]
-	mc.mu.Unlock()
-	if ok {
-		return s
+	s, _, err := modelMemosOf(d).scans.Get(context.Background(), key, func() (peakScan, error) {
+		return m.computePeakScan(d, oversub, capLoc), nil
+	})
+	if err != nil {
+		panic(fmt.Sprintf("core: binding scan failed: %v", err))
 	}
-	s = m.computePeakScan(d, oversub, capLoc)
-	mc.mu.Lock()
-	if len(mc.scans) >= modelCacheEntries {
-		clear(mc.scans)
-	}
-	mc.scans[key] = s
-	mc.mu.Unlock()
 	return s
 }
 
@@ -193,28 +181,14 @@ func (m Model) sizeAllCells(d *demand.Distribution, spread, oversub float64, cap
 // returned, never cached.
 func (m Model) returnsProfile(ctx context.Context, d *demand.Distribution, oversub float64) ([]profilePoint, error) {
 	key := profileKey{beams: m.Beams, oversub: oversub}
-	mc := modelCacheOf(d)
-	mc.mu.Lock()
-	prof, ok := mc.profiles[key]
-	mc.mu.Unlock()
-	if ok {
-		return prof, nil
-	}
-	hardCap := m.Beams.MaxServableLocations(oversub)
-	perBeam := m.Beams.LocationsPerBeam(oversub)
-	prof, err := par.Map(ctx, m.Parallelism, hardCap-perBeam+1, func(i int) (profilePoint, error) {
-		t := perBeam + i
-		b, _ := m.Beams.BeamsForCell(t, oversub)
-		return profilePoint{unserved: d.ExcessAbove(t), beams: b}, nil
+	prof, _, err := modelMemosOf(d).profiles.Get(ctx, key, func() ([]profilePoint, error) {
+		hardCap := m.Beams.MaxServableLocations(oversub)
+		perBeam := m.Beams.LocationsPerBeam(oversub)
+		return par.Map(ctx, m.Parallelism, hardCap-perBeam+1, func(i int) (profilePoint, error) {
+			t := perBeam + i
+			b, _ := m.Beams.BeamsForCell(t, oversub)
+			return profilePoint{unserved: d.ExcessAbove(t), beams: b}, nil
+		})
 	})
-	if err != nil {
-		return nil, err
-	}
-	mc.mu.Lock()
-	if len(mc.profiles) >= modelCacheEntries {
-		clear(mc.profiles)
-	}
-	mc.profiles[key] = prof
-	mc.mu.Unlock()
-	return prof, nil
+	return prof, err
 }

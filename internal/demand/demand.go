@@ -12,8 +12,8 @@ import (
 
 	"leodivide/internal/geo"
 	"leodivide/internal/hexgrid"
+	"leodivide/internal/memo"
 	"leodivide/internal/spectrum"
-	"leodivide/internal/stage"
 	"leodivide/internal/stats"
 )
 
@@ -111,7 +111,7 @@ func Aggregate(locs []Location, res hexgrid.Resolution) ([]Cell, error) {
 // per-cell fields (location counts, center latitudes) so the capacity
 // model's inner loops scan dense arrays instead of striding across
 // Cell structs, plus a per-dataset stage memo for derived results that
-// are invariant across sweep points (see package stage).
+// are invariant across sweep points (see package memo).
 type Distribution struct {
 	cells  []Cell // descending by Locations
 	cdf    *stats.CDF
@@ -120,7 +120,7 @@ type Distribution struct {
 
 	locs   []int32   // column of cells[i].Locations
 	lats   []float64 // column of cells[i].Center.Lat
-	stages *stage.Memo
+	stages *memo.Memo[string, any]
 }
 
 // NewDistribution indexes the cells. Cells with zero locations are
@@ -166,7 +166,7 @@ func NewDistribution(cells []Cell) (*Distribution, error) {
 	return &Distribution{
 		cells: kept, cdf: cdf, total: total, suffix: suffix,
 		locs: locs, lats: lats,
-		stages: stage.New(0),
+		stages: memo.New[string, any](0, 0, nil),
 	}, nil
 }
 
@@ -197,8 +197,9 @@ func (d *Distribution) Lats() []float64 { return d.lats }
 // Stages returns the distribution's compute-stage memo. Derived values
 // that depend only on this dataset (plus model knobs encoded in the
 // key) are cached here and shared across sweep points and concurrent
-// experiments. Nil only for a zero-value Distribution.
-func (d *Distribution) Stages() *stage.Memo { return d.stages }
+// experiments. Nil only for a zero-value Distribution, whose lookups
+// then just compute (see package memo).
+func (d *Distribution) Stages() *memo.Memo[string, any] { return d.stages }
 
 // Quantile returns the per-cell location count at quantile q.
 func (d *Distribution) Quantile(q float64) int { return int(d.cdf.Quantile(q)) }

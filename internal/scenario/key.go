@@ -4,7 +4,7 @@
 // a golden corpus. The encoding is a versioned, pipe-delimited sequence
 // of name=value fields:
 //
-//	leodivide-serve/v1|afford_share=0.02|calibrated=false|...|seed=1
+//	leodivide-serve/v3|afford_share=0.02|calibrated=false|...|seed=1
 //
 // Canonicality rules, enforced by the builder rather than left to
 // caller discipline:
@@ -34,16 +34,6 @@ import (
 // v3 added the region selector; v2 added the constellation selector
 // and the cost-model override fields.
 const Schema = "leodivide-serve/v3"
-
-// SchemaV2 is the previous key schema, retained so committed v2 keys
-// keep decoding (they map to the default "us" region; the root
-// package's UpgradeScenarioKey owns that mapping).
-const SchemaV2 = "leodivide-serve/v2"
-
-// SchemaV1 is the original key schema, retained so committed v1 keys
-// keep decoding (they map to the Starlink default with declared costs
-// on the "us" region).
-const SchemaV1 = "leodivide-serve/v1"
 
 // FormatFloat renders a float in the canonical shortest round-trippable
 // form ("0.02", "20", "1e-05"). It is total: non-finite values render
@@ -181,36 +171,4 @@ func (k *KeyBuilder) Key() (string, error) {
 		return "", k.err
 	}
 	return k.b.String(), nil
-}
-
-// Field is one decoded name=value pair of a canonical key.
-type Field struct {
-	Name, Value string
-}
-
-// ParseKey decodes a canonical key into its schema prefix and ordered
-// fields, enforcing the builder's layout rules in reverse: a nonempty
-// schema, every field name=value with a token-safe name, and names in
-// strictly ascending order (which also rules out duplicates). Values
-// are returned verbatim; the caller owns their interpretation.
-func ParseKey(key string) (schema string, fields []Field, err error) {
-	parts := strings.Split(key, "|")
-	schema = parts[0]
-	if schema == "" {
-		return "", nil, fmt.Errorf("scenario key: empty schema prefix in %q", key)
-	}
-	last := ""
-	fields = make([]Field, 0, len(parts)-1)
-	for _, p := range parts[1:] {
-		name, value, ok := strings.Cut(p, "=")
-		if !ok || !validToken(name) {
-			return "", nil, fmt.Errorf("scenario key: malformed field %q", p)
-		}
-		if name <= last {
-			return "", nil, fmt.Errorf("scenario key: field %q out of order after %q", name, last)
-		}
-		last = name
-		fields = append(fields, Field{Name: name, Value: value})
-	}
-	return schema, fields, nil
 }

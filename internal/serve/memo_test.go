@@ -5,10 +5,36 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"leodivide/internal/memo"
 )
+
+// newMemo builds the response memo the way New does: response bytes
+// keyed by canonical scenario key, weighed by weighResponse.
+func newMemo(maxEntries int, maxBytes int64) *memo.Memo[string, []byte] {
+	return memo.New(maxEntries, maxBytes, weighResponse)
+}
+
+// stats reports the memo's entry count, accounted bytes and evictions.
+func stats(m *memo.Memo[string, []byte]) (entries int, size, evictions int64) {
+	entries, size = m.Size()
+	_, _, _, evictions = m.Counters()
+	return entries, size, evictions
+}
+
+// waitCoalesced spins until n followers have joined the in-flight fill.
+func waitCoalesced(m *memo.Memo[string, []byte], n int64) {
+	for {
+		if _, _, c, _ := m.Counters(); c >= n {
+			return
+		}
+		runtime.Gosched()
+	}
+}
 
 // TestMemoCoalescesConcurrentFills is the serving layer's core
 // guarantee under `go test -race`: N goroutines asking for the same
@@ -33,12 +59,12 @@ func TestMemoCoalescesConcurrentFills(t *testing.T) {
 	ctx := context.Background()
 	type outcome struct {
 		val    []byte
-		status Status
+		status memo.Status
 		err    error
 	}
 	results := make(chan outcome, followers+1)
 	get := func() {
-		v, st, err := m.get(ctx, "k", fill)
+		v, st, err := m.Get(ctx, "k", fill)
 		results <- outcome{v, st, err}
 	}
 
@@ -55,7 +81,7 @@ func TestMemoCoalescesConcurrentFills(t *testing.T) {
 	launched.Wait()
 	close(release)
 
-	statuses := map[Status]int{}
+	statuses := map[memo.Status]int{}
 	for i := 0; i < followers+1; i++ {
 		o := <-results
 		if o.err != nil {
@@ -69,8 +95,8 @@ func TestMemoCoalescesConcurrentFills(t *testing.T) {
 	if n := fills.Load(); n != 1 {
 		t.Errorf("fill ran %d times for one key, want exactly 1", n)
 	}
-	if statuses[StatusMiss] != 1 {
-		t.Errorf("want exactly one miss (the leader), got %d (statuses %v)", statuses[StatusMiss], statuses)
+	if statuses[memo.StatusMiss] != 1 {
+		t.Errorf("want exactly one miss (the leader), got %d (statuses %v)", statuses[memo.StatusMiss], statuses)
 	}
 }
 
@@ -79,11 +105,11 @@ func TestMemoHitAfterFill(t *testing.T) {
 	var fills int
 	fill := func() ([]byte, error) { fills++; return []byte("v"), nil }
 	ctx := context.Background()
-	if _, st, err := m.get(ctx, "k", fill); err != nil || st != StatusMiss {
+	if _, st, err := m.Get(ctx, "k", fill); err != nil || st != memo.StatusMiss {
 		t.Fatalf("first get: status %v, err %v", st, err)
 	}
-	v, st, err := m.get(ctx, "k", fill)
-	if err != nil || st != StatusHit || string(v) != "v" {
+	v, st, err := m.Get(ctx, "k", fill)
+	if err != nil || st != memo.StatusHit || string(v) != "v" {
 		t.Fatalf("second get: %q, status %v, err %v", v, st, err)
 	}
 	if fills != 1 {
@@ -98,9 +124,9 @@ func TestMemoLRUEviction(t *testing.T) {
 	}
 	ctx := context.Background()
 	var fa, fb, fc int
-	mustGet := func(k string, fill func() ([]byte, error)) Status {
+	mustGet := func(k string, fill func() ([]byte, error)) memo.Status {
 		t.Helper()
-		_, st, err := m.get(ctx, k, fill)
+		_, st, err := m.Get(ctx, k, fill)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,21 +135,21 @@ func TestMemoLRUEviction(t *testing.T) {
 	mustGet("a", fillFor("a", &fa))
 	mustGet("b", fillFor("b", &fb))
 	// Touch "a" so "b" is the LRU victim when "c" arrives.
-	if st := mustGet("a", fillFor("a", &fa)); st != StatusHit {
+	if st := mustGet("a", fillFor("a", &fa)); st != memo.StatusHit {
 		t.Fatalf("a should be cached, got %v", st)
 	}
 	mustGet("c", fillFor("c", &fc))
-	if entries, _, evictions := m.stats(); entries != 2 || evictions != 1 {
+	if entries, _, evictions := stats(m); entries != 2 || evictions != 1 {
 		t.Errorf("stats = (%d entries, %d evictions), want (2, 1)", entries, evictions)
 	}
-	if st := mustGet("a", fillFor("a", &fa)); st != StatusHit {
+	if st := mustGet("a", fillFor("a", &fa)); st != memo.StatusHit {
 		t.Errorf("recently-used key a should still hit, got %v", st)
 	}
 	// Refilling the evicted "b" pushes out the cache's new LRU, "c".
-	if st := mustGet("b", fillFor("b", &fb)); st != StatusMiss {
+	if st := mustGet("b", fillFor("b", &fb)); st != memo.StatusMiss {
 		t.Errorf("evicted key b should miss, got %v", st)
 	}
-	if st := mustGet("c", fillFor("c", &fc)); st != StatusMiss {
+	if st := mustGet("c", fillFor("c", &fc)); st != memo.StatusMiss {
 		t.Errorf("key c should have been evicted by b's refill, got %v", st)
 	}
 	if fa != 1 || fb != 2 || fc != 2 {
@@ -143,11 +169,11 @@ func TestMemoErrorsAreNotCached(t *testing.T) {
 		}
 		return []byte("ok"), nil
 	}
-	if _, _, err := m.get(ctx, "k", fill); !errors.Is(err, boom) {
+	if _, _, err := m.Get(ctx, "k", fill); !errors.Is(err, boom) {
 		t.Fatalf("first get err = %v, want boom", err)
 	}
-	v, st, err := m.get(ctx, "k", fill)
-	if err != nil || st != StatusMiss || string(v) != "ok" {
+	v, st, err := m.Get(ctx, "k", fill)
+	if err != nil || st != memo.StatusMiss || string(v) != "ok" {
 		t.Fatalf("retry after error: %q, status %v, err %v (errors must not poison the key)", v, st, err)
 	}
 }
@@ -164,33 +190,33 @@ func TestMemoByteEviction(t *testing.T) {
 	val := bytes.Repeat([]byte("x"), 40)
 	put := func(k string) {
 		t.Helper()
-		if _, _, err := m.get(ctx, k, func() ([]byte, error) { return val, nil }); err != nil {
+		if _, _, err := m.Get(ctx, k, func() ([]byte, error) { return val, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	put("a")
 	put("b")
-	if entries, size, evictions := m.stats(); entries != 2 || size != 82 || evictions != 0 {
+	if entries, size, evictions := stats(m); entries != 2 || size != 82 || evictions != 0 {
 		t.Fatalf("after 2 puts: stats = (%d, %d, %d), want (2, 82, 0)", entries, size, evictions)
 	}
 	// A third entry pushes bytes to 123 > 90: the oldest ("a") goes.
 	put("c")
-	if entries, size, evictions := m.stats(); entries != 2 || size != 82 || evictions != 1 {
+	if entries, size, evictions := stats(m); entries != 2 || size != 82 || evictions != 1 {
 		t.Errorf("after byte overflow: stats = (%d, %d, %d), want (2, 82, 1)", entries, size, evictions)
 	}
-	if _, st, err := m.get(ctx, "a", func() ([]byte, error) { return val, nil }); err != nil || st != StatusMiss {
+	if _, st, err := m.Get(ctx, "a", func() ([]byte, error) { return val, nil }); err != nil || st != memo.StatusMiss {
 		t.Errorf("oldest key a should have been evicted by bytes, got status %v, err %v", st, err)
 	}
 	// An entry larger than the whole cap evicts everything else but is
 	// itself retained: serving it once from cache beats thrashing.
 	huge := bytes.Repeat([]byte("y"), 200)
-	if _, _, err := m.get(ctx, "h", func() ([]byte, error) { return huge, nil }); err != nil {
+	if _, _, err := m.Get(ctx, "h", func() ([]byte, error) { return huge, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if entries, size, _ := m.stats(); entries != 1 || size != 201 {
+	if entries, size, _ := stats(m); entries != 1 || size != 201 {
 		t.Errorf("oversized entry: stats = (%d entries, %d bytes), want (1, 201)", entries, size)
 	}
-	if _, st, err := m.get(ctx, "h", func() ([]byte, error) { return huge, nil }); err != nil || st != StatusHit {
+	if _, st, err := m.Get(ctx, "h", func() ([]byte, error) { return huge, nil }); err != nil || st != memo.StatusHit {
 		t.Errorf("oversized entry should still be served from cache, got status %v, err %v", st, err)
 	}
 }
@@ -202,11 +228,11 @@ func TestMemoUnboundedBytes(t *testing.T) {
 	ctx := context.Background()
 	big := bytes.Repeat([]byte("z"), 1<<16)
 	for _, k := range []string{"a", "b", "c", "d"} {
-		if _, _, err := m.get(ctx, k, func() ([]byte, error) { return big, nil }); err != nil {
+		if _, _, err := m.Get(ctx, k, func() ([]byte, error) { return big, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if entries, size, evictions := m.stats(); entries != 4 || size != 4*(1<<16)+4 || evictions != 0 {
+	if entries, size, evictions := stats(m); entries != 4 || size != 4*(1<<16)+4 || evictions != 0 {
 		t.Errorf("stats = (%d, %d, %d), want (4, %d, 0)", entries, size, evictions, 4*(1<<16)+4)
 	}
 }
@@ -215,9 +241,11 @@ func TestMemoFollowerHonorsOwnContext(t *testing.T) {
 	m := newMemo(8, 0)
 	entered := make(chan struct{})
 	release := make(chan struct{})
+	leaderDone := make(chan struct{})
 	go func() {
+		defer close(leaderDone)
 		//lint:ignore errdrop test leader; outcome checked via the follower
-		m.get(context.Background(), "k", func() ([]byte, error) {
+		m.Get(context.Background(), "k", func() ([]byte, error) {
 			close(entered)
 			<-release
 			return []byte("v"), nil
@@ -226,23 +254,20 @@ func TestMemoFollowerHonorsOwnContext(t *testing.T) {
 	<-entered
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := m.get(ctx, "k", func() ([]byte, error) {
+	_, _, err := m.Get(ctx, "k", func() ([]byte, error) {
 		return nil, fmt.Errorf("follower must not fill")
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled follower err = %v, want context.Canceled", err)
 	}
 	close(release)
+	<-leaderDone
 }
 
-// TestMemoPanickingFillDoesNotWedgeKey is the regression test for the
-// singleflight panic hole the waitbalance lint rule found: the leader
-// published its flight entry, then ran fill without a deferred
-// cleanup, so a panicking fill left the done channel open forever and
-// every later get of the key blocked on it. The fixed get must (a) let
-// the panic keep unwinding through the leader, (b) release a coalesced
+// TestMemoPanickingFillDoesNotWedgeKey: a response fill that panics
+// must (a) keep unwinding through the leader, (b) release a coalesced
 // follower with an error rather than a hang, and (c) leave the key
-// workable so a retry runs a fresh fill.
+// workable so a retry runs a fresh fill and caches normally.
 func TestMemoPanickingFillDoesNotWedgeKey(t *testing.T) {
 	m := newMemo(8, 0)
 	ctx := context.Background()
@@ -253,51 +278,37 @@ func TestMemoPanickingFillDoesNotWedgeKey(t *testing.T) {
 	go func() {
 		defer func() { leaderDone <- recover() }()
 		//lint:ignore errdrop test leader; the panic is the outcome under test
-		m.get(ctx, "k", func() ([]byte, error) {
+		m.Get(ctx, "k", func() ([]byte, error) {
 			close(entered)
 			<-release
 			panic("fill exploded")
 		})
 	}()
-
-	// Grab the published flight entry while the fill is in progress —
-	// this is exactly the call a coalesced follower would wait on.
 	<-entered
-	m.mu.Lock()
-	c := m.flight["k"]
-	m.mu.Unlock()
-	if c == nil {
-		t.Fatal("no flight entry published while fill is running")
-	}
+	followerErr := make(chan error, 1)
+	go func() {
+		_, _, err := m.Get(ctx, "k", func() ([]byte, error) { return []byte("follower"), nil })
+		followerErr <- err
+	}()
+	waitCoalesced(m, 1)
 	close(release)
 
 	if recovered := <-leaderDone; recovered != "fill exploded" {
 		t.Fatalf("leader recover() = %v; the panic must keep unwinding through the leader", recovered)
 	}
-	// A waiting follower must have been released with an error, not
-	// stranded on an open channel.
-	select {
-	case <-c.done:
-	default:
-		t.Fatal("flight done channel still open after the panicking fill; followers would block forever")
-	}
-	if c.err == nil {
-		t.Fatal("panicked flight carries err = nil; followers would mistake it for success")
-	}
-	m.mu.Lock()
-	_, stillInFlight := m.flight["k"]
-	m.mu.Unlock()
-	if stillInFlight {
-		t.Fatal("flight entry survived the panic; the key is wedged for future callers")
+	// The waiting follower must be released with an error, not stranded
+	// and not handed an empty body as if it were a success.
+	if err := <-followerErr; !errors.Is(err, memo.ErrPanicked) {
+		t.Fatalf("follower err = %v, want memo.ErrPanicked", err)
 	}
 
 	// The key must not be wedged or poisoned: a fresh get runs a fresh
 	// fill and caches normally.
-	val, st, err := m.get(ctx, "k", func() ([]byte, error) { return []byte("ok"), nil })
-	if err != nil || string(val) != "ok" || st != StatusMiss {
+	val, st, err := m.Get(ctx, "k", func() ([]byte, error) { return []byte("ok"), nil })
+	if err != nil || string(val) != "ok" || st != memo.StatusMiss {
 		t.Fatalf("retry after panic = (%q, %v, %v), want (ok, miss, nil)", val, st, err)
 	}
-	if _, st, _ := m.get(ctx, "k", nil); st != StatusHit {
+	if _, st, _ := m.Get(ctx, "k", nil); st != memo.StatusHit {
 		t.Fatalf("second retry status = %v, want hit", st)
 	}
 }

@@ -21,8 +21,8 @@
 //     SIGTERM/SIGINT to that context), so in-flight queries finish
 //     before the process exits.
 //
-// Wire contract (schema leodivide-serve/v3; v1/v2 bodies still
-// accepted — see leodivide.ScenarioRequest.ValidateSchema):
+// Wire contract (schema leodivide-serve/v3; a body declaring any other
+// schema, older ones included, is a 400):
 //
 //	POST /v1/scenario       {"schema":"leodivide-serve/v3","experiment":"xconst","region":"brazil-rural",...}
 //	GET  /v1/experiments
@@ -49,6 +49,7 @@ import (
 
 	"leodivide"
 	"leodivide/internal/constellation"
+	"leodivide/internal/memo"
 	"leodivide/internal/obs"
 	"leodivide/internal/par"
 	"leodivide/internal/region"
@@ -101,11 +102,12 @@ const DefaultCacheBytes int64 = 256 << 20
 
 // Server answers scenario queries against one shared immutable dataset.
 type Server struct {
-	ds   *leodivide.Dataset
-	base leodivide.ScenarioConfig
-	memo *memo
-	gate *par.Gate
-	mux  *http.ServeMux
+	ds       *leodivide.Dataset
+	base     leodivide.ScenarioConfig
+	memo     *memo.Memo[string, []byte]
+	maxBytes int64 // the memo's byte bound; 0 = unbounded
+	gate     *par.Gate
+	mux      *http.ServeMux
 
 	// baseRegion is the geography of the shared startup dataset;
 	// regionDS memoizes the sibling geographies, generated lazily at
@@ -119,6 +121,11 @@ type Server struct {
 	// Server-local traffic counters backing /v1/stats (the obs
 	// counters are process-global and shared across servers).
 	requests, hits, misses, coalesced, errs atomic.Int64
+
+	// evictMu guards evictSeen, the memo eviction count already added
+	// to the process-global serve.cache.evictions counter.
+	evictMu   sync.Mutex
+	evictSeen int64
 }
 
 // New builds a server: validates the base scenario, generates the
@@ -150,12 +157,13 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 	case bytes == 0:
 		bytes = DefaultCacheBytes
 	case bytes < 0:
-		bytes = 0 // memo-internal convention: 0 = no byte bound
+		bytes = 0 // no byte bound
 	}
 	s := &Server{
 		ds:         ds,
 		base:       base,
-		memo:       newMemo(entries, bytes),
+		memo:       memo.New(entries, bytes, weighResponse),
+		maxBytes:   bytes,
 		gate:       par.NewGate(cfg.MaxInflight),
 		mux:        http.NewServeMux(),
 		baseRegion: baseRegion,
@@ -229,27 +237,19 @@ type httpError struct {
 
 func (e *httpError) Error() string { return e.msg }
 
-// resolve merges a request into the server's base scenario. All three
-// wire schemas resolve: a v3 body as-is, a v2 body (which predates the
-// region selector) onto the default "us" region, and a v1 body (which
-// additionally predates the constellation selector and cost overrides)
-// onto the Starlink default — so identities minted under the older
-// schemas keep hitting the same cache slots. The region selector is a
-// knob, not a dataset-identity conflict: the server generates sibling
-// geographies lazily at its own (seed, scale); only seed and scale
-// mismatches 409.
+// resolve merges a request into the server's base scenario. The HTTP
+// contract is versioned: unlike the CLI convenience form, a request
+// must declare the current schema, and any other declaration (older
+// schemas included) is a 400. The region selector is a knob, not a
+// dataset-identity conflict: the server generates sibling geographies
+// lazily at its own (seed, scale); only seed and scale mismatches 409.
+// The merge itself is ScenarioRequest.Apply, the same one the CLI's
+// -scenario flag uses.
 func (s *Server) resolve(req Request) (leodivide.ScenarioConfig, error) {
-	if req.Schema == "" {
-		// The HTTP contract is versioned: unlike the CLI convenience
-		// form, a request must declare which schema it speaks.
+	if req.Schema != leodivide.ScenarioSchema {
 		return leodivide.ScenarioConfig{}, &httpError{http.StatusBadRequest,
 			fmt.Sprintf("unsupported schema %q (want %q)", req.Schema, leodivide.ScenarioSchema)}
 	}
-	if err := req.ValidateSchema(); err != nil {
-		return leodivide.ScenarioConfig{}, &httpError{http.StatusBadRequest, err.Error()}
-	}
-	c := s.base
-	c.Experiment = req.Experiment
 	if req.Seed != nil && *req.Seed != s.base.Seed {
 		return leodivide.ScenarioConfig{}, &httpError{http.StatusConflict,
 			fmt.Sprintf("seed %d does not match the server dataset (%s)", *req.Seed, s.base.RunConfig)}
@@ -259,19 +259,13 @@ func (s *Server) resolve(req Request) (leodivide.ScenarioConfig, error) {
 		return leodivide.ScenarioConfig{}, &httpError{http.StatusConflict,
 			fmt.Sprintf("scale %v does not match the server dataset (%s)", *req.Scale, s.base.RunConfig)}
 	}
-	if req.Calibrated != nil {
-		c.Calibrated = *req.Calibrated
+	// Apply validates the experiment only when one is named; a query
+	// without one has nothing to run.
+	if req.Experiment == "" {
+		return leodivide.ScenarioConfig{}, &httpError{http.StatusBadRequest, "leodivide: scenario names no experiment"}
 	}
-	c.MaxOversub = req.MaxOversub
-	c.AffordShare = req.AffordShare
-	c.Spreads = req.Spreads
-	c.Plans = req.Plans
-	c.Constellation = req.Constellation
-	c.CostSatelliteUSD = req.CostSatelliteUSD
-	c.CostLifeYears = req.CostLifeYears
-	c.CostTerminalUSD = req.CostTerminalUSD
-	c.Region = req.Region
-	if err := c.Validate(); err != nil {
+	c, err := req.Apply(s.base)
+	if err != nil {
 		return leodivide.ScenarioConfig{}, &httpError{http.StatusBadRequest, err.Error()}
 	}
 	return c, nil
@@ -319,9 +313,12 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ctx := r.Context()
-	body, status, err := s.memo.get(ctx, key, func() ([]byte, error) {
+	body, status, err := s.memo.Get(ctx, key, func() ([]byte, error) {
 		return s.runScenario(ctx, cfg, key)
 	})
+	if status == memo.StatusMiss {
+		s.publishEvictions()
+	}
 	if err != nil {
 		s.errs.Add(1)
 		code := http.StatusInternalServerError
@@ -332,10 +329,10 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch status {
-	case StatusHit:
+	case memo.StatusHit:
 		s.hits.Add(1)
 		metricHits.Inc()
-	case StatusCoalesced:
+	case memo.StatusCoalesced:
 		s.coalesced.Add(1)
 		metricCoalesced.Inc()
 	default:
@@ -387,6 +384,25 @@ func (s *Server) runScenario(ctx context.Context, cfg leodivide.ScenarioConfig, 
 		Scale:      n.Scale,
 		Result:     v,
 	})
+}
+
+// weighResponse is the cache's byte accounting: key and value both
+// count. Canonical keys are short, but the accounting should not
+// assume so.
+func weighResponse(key string, body []byte) int64 { return int64(len(key) + len(body)) }
+
+// publishEvictions forwards the memo's eviction count to the
+// process-global serve.cache.evictions counter. Evictions happen only
+// when a miss's fill is cached, so each miss publishes; the mutex keeps
+// concurrent publishers from adding an interval twice.
+func (s *Server) publishEvictions() {
+	_, _, _, ev := s.memo.Counters()
+	s.evictMu.Lock()
+	defer s.evictMu.Unlock()
+	if ev > s.evictSeen {
+		metricEvictions.Add(ev - s.evictSeen)
+		s.evictSeen = ev
+	}
 }
 
 // datasetFor resolves the dataset a query's region runs against: the
@@ -507,7 +523,8 @@ type Stats struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	entries, bytes, evictions := s.memo.stats()
+	entries, bytes := s.memo.Size()
+	_, _, _, evictions := s.memo.Counters()
 	st := Stats{
 		Requests:      s.requests.Load(),
 		Hits:          s.hits.Load(),
@@ -516,7 +533,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Errors:        s.errs.Load(),
 		CacheEntries:  entries,
 		CacheBytes:    bytes,
-		CacheMaxBytes: s.memo.maxBytes,
+		CacheMaxBytes: s.maxBytes,
 		Evictions:     evictions,
 		InflightCap:   s.gate.Cap(),
 		Inflight:      s.gate.InUse(),

@@ -226,6 +226,10 @@ func TestScenarioValidation(t *testing.T) {
 		code int
 	}{
 		{"wrong schema", `{"schema":"nope/v9","experiment":"table1"}`, http.StatusBadRequest},
+		{"no schema", `{"experiment":"table1"}`, http.StatusBadRequest},
+		{"v1 schema", `{"schema":"leodivide-serve/v1","experiment":"table1"}`, http.StatusBadRequest},
+		{"v2 schema", `{"schema":"leodivide-serve/v2","experiment":"fig1"}`, http.StatusBadRequest},
+		{"v2 schema with region", `{"schema":"leodivide-serve/v2","experiment":"fig1","region":"us"}`, http.StatusBadRequest},
 		{"missing experiment", scenarioBody("", ""), http.StatusBadRequest},
 		{"unknown experiment", scenarioBody("tableau", ""), http.StatusBadRequest},
 		{"unknown field", scenarioBody("table1", `"warp":9`), http.StatusBadRequest},
@@ -270,35 +274,6 @@ func TestScenarioPlanFilter(t *testing.T) {
 	}
 	if len(r.Result.Results) != 1 || r.Result.Results[0].Plan.Name != "Starlink Residential" {
 		t.Errorf("filtered fig4 returned %d results, want exactly Starlink Residential", len(r.Result.Results))
-	}
-}
-
-// TestScenarioSchemaCompat: a v1 body still resolves — onto the
-// Starlink default, sharing the cache entry of the equivalent v2
-// request — while v1 bodies using v2-only fields are rejected.
-func TestScenarioSchemaCompat(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-
-	resp2, body2 := postScenario(t, ts.URL, scenarioBody("table1", ""))
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("v2 request: %d %s", resp2.StatusCode, body2)
-	}
-	v1Body := fmt.Sprintf(`{"schema":%q,"experiment":"table1"}`, leodivide.ScenarioSchemaV1)
-	resp1, body1 := postScenario(t, ts.URL, v1Body)
-	if resp1.StatusCode != http.StatusOK {
-		t.Fatalf("v1 request: %d %s", resp1.StatusCode, body1)
-	}
-	if h := resp1.Header.Get(CacheHeader); h != "hit" {
-		t.Errorf("v1 request %s = %q, want hit (must share the v2 default's cache entry)", CacheHeader, h)
-	}
-	if !bytes.Equal(body1, body2) {
-		t.Error("v1 request bytes differ from the equivalent v2 request")
-	}
-
-	resp, body := postScenario(t, ts.URL,
-		fmt.Sprintf(`{"schema":%q,"experiment":"table1","constellation":"kuiper"}`, leodivide.ScenarioSchemaV1))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("v1 request with v2-only field: %d %s, want 400", resp.StatusCode, body)
 	}
 }
 
@@ -353,8 +328,7 @@ func TestScenarioConstellation(t *testing.T) {
 // default shares the default's cache entry, a sibling geography is a
 // fresh miss with a different result (served lazily from a dataset
 // generated at the server's own seed/scale), and unknown names are a
-// 400 listing the valid set. A v2 body carrying the v3-only field is
-// rejected; a v2 body without it shares the v3 default's cache entry.
+// 400 listing the valid set.
 func TestScenarioRegion(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
@@ -409,23 +383,6 @@ func TestScenarioRegion(t *testing.T) {
 		if !strings.Contains(e.Error, name) {
 			t.Errorf("error %q does not list valid option %q", e.Error, name)
 		}
-	}
-
-	respV2Bad, v2bad := postScenario(t, ts.URL,
-		fmt.Sprintf(`{"schema":%q,"experiment":"fig1","region":"brazil-rural"}`, leodivide.ScenarioSchemaV2))
-	if respV2Bad.StatusCode != http.StatusBadRequest {
-		t.Errorf("v2 request with v3-only region field: %d %s, want 400", respV2Bad.StatusCode, v2bad)
-	}
-	respV2, v2 := postScenario(t, ts.URL,
-		fmt.Sprintf(`{"schema":%q,"experiment":"fig1"}`, leodivide.ScenarioSchemaV2))
-	if respV2.StatusCode != http.StatusOK {
-		t.Fatalf("v2 request: %d %s", respV2.StatusCode, v2)
-	}
-	if h := respV2.Header.Get(CacheHeader); h != "hit" {
-		t.Errorf("v2 request %s = %q, want hit (must share the v3 default's cache entry)", CacheHeader, h)
-	}
-	if !bytes.Equal(v2, def) {
-		t.Error("v2 request bytes differ from the equivalent v3 request")
 	}
 }
 
@@ -531,6 +488,30 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if st.CacheMaxBytes != DefaultCacheBytes {
 		t.Errorf("cache max bytes = %d, want the default %d", st.CacheMaxBytes, DefaultCacheBytes)
+	}
+}
+
+// TestEvictionsReachMetrics: memo evictions surface both in
+// /v1/stats and on the process-wide serve.cache.evictions counter.
+func TestEvictionsReachMetrics(t *testing.T) {
+	_, ts := newTestServer(t, Config{CacheEntries: 1})
+	before := metricEvictions.Value()
+	postScenario(t, ts.URL, scenarioBody("table1", ""))
+	postScenario(t, ts.URL, scenarioBody("fig1", ""))
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Evictions != 1 || st.CacheEntries != 1 {
+		t.Errorf("stats = %+v, want 1 eviction and 1 entry", st)
+	}
+	if got := metricEvictions.Value() - before; got != 1 {
+		t.Errorf("serve.cache.evictions advanced by %d, want 1", got)
 	}
 }
 

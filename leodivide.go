@@ -43,7 +43,6 @@ import (
 	"leodivide/internal/par"
 	"leodivide/internal/region"
 	"leodivide/internal/spectrum"
-	"leodivide/internal/stage"
 	"leodivide/internal/stats"
 )
 
@@ -593,7 +592,7 @@ func (m Model) AffordabilityInput(d *Dataset) (*afford.Input, error) {
 // Fig4, findings and concurrent serve queries via the stage memo.
 // afford.Input is immutable after construction, so sharing is safe.
 func (d *Dataset) affordInput() (*afford.Input, error) {
-	return stage.Get(d.dist.Stages(), "afford.input", func() (*afford.Input, error) {
+	return staged(d, "afford.input", func() (*afford.Input, error) {
 		return afford.NewInput(d.Incomes)
 	})
 }
@@ -602,9 +601,21 @@ func (d *Dataset) affordInput() (*afford.Input, error) {
 // by the (uncanonicalized) sigma so distinct dispersion shapes coexist.
 func (d *Dataset) dispersedInput(sigmaLog float64) (*afford.DispersedInput, error) {
 	key := "afford.dispersed|sigma=" + strconv.FormatFloat(sigmaLog, 'g', -1, 64)
-	return stage.Get(d.dist.Stages(), key, func() (*afford.DispersedInput, error) {
+	return staged(d, key, func() (*afford.DispersedInput, error) {
 		return afford.NewDispersedInput(d.Incomes, sigmaLog)
 	})
+}
+
+// staged memoizes a typed dataset stage under key in the dataset's
+// stage memo. The stages are pure in-memory computes, so nothing
+// cancels them.
+func staged[T any](d *Dataset, key string, fill func() (T, error)) (T, error) {
+	v, _, err := d.dist.Stages().Get(context.Background(), key, func() (any, error) { return fill() })
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return v.(T), nil
 }
 
 // Findings aggregates the paper's four findings in one structure.

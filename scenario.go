@@ -7,7 +7,7 @@ package leodivide
 // Fig4 plan/subsidy selection — plus the experiment name, so library,
 // CLI, bench and server all describe a scenario with one type and none
 // can drift. CanonicalKey is the single byte encoding of a scenario:
-// the result-cache key, the golden identity, and the serve/v1 wire
+// the result-cache key, the golden identity, and the serve wire
 // contract all derive from it.
 
 import (
@@ -28,18 +28,6 @@ import (
 // and the `leodivide serve` HTTP contract (currently v3, which added
 // the region selector).
 const ScenarioSchema = scenario.Schema
-
-// ScenarioSchemaV2 is the previous encoding (constellation selector
-// plus cost-model overrides, no region field). Committed v2 keys and
-// v2 requests still decode — they map to the default "us" region, so
-// cached identities minted before the region selector stay stable; see
-// ParseScenarioKey and UpgradeScenarioKey.
-const ScenarioSchemaV2 = scenario.SchemaV2
-
-// ScenarioSchemaV1 is the original encoding. Committed v1 keys and v1
-// requests still decode — they map to the Starlink default on the "us"
-// region.
-const ScenarioSchemaV1 = scenario.SchemaV1
 
 // ScenarioConfig describes one scenario query: which experiment to run,
 // on which dataset (the embedded RunConfig), under which model knobs.

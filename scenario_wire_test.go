@@ -2,6 +2,7 @@ package leodivide
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -41,28 +42,26 @@ func TestScenarioWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestScenarioRequestValidateSchema: only the current schema (or the
+// empty CLI convenience) applies; v1, v2 and unknown schemas are
+// rejected outright, never mapped onto a current scenario.
 func TestScenarioRequestValidateSchema(t *testing.T) {
 	base := ScenarioConfig{RunConfig: DefaultRunConfig()}
-
-	// A v1 body without v2-only fields applies (onto the Starlink
-	// default); declaring v1 while using v2-only fields is an error.
-	v1 := ScenarioRequest{Schema: ScenarioSchemaV1, Experiment: "table2"}
-	if _, err := v1.Apply(base); err != nil {
-		t.Errorf("plain v1 request rejected: %v", err)
+	for _, schema := range []string{"", ScenarioSchema} {
+		req := ScenarioRequest{Schema: schema, Experiment: "table2"}
+		if _, err := req.Apply(base); err != nil {
+			t.Errorf("schema %q rejected: %v", schema, err)
+		}
 	}
-	v1.Constellation = "kuiper"
-	if _, err := v1.Apply(base); err == nil || !strings.Contains(err.Error(), "v2-only") {
-		t.Errorf("v1 request with constellation returned %v, want v2-only rejection", err)
-	}
-	v1.Constellation = ""
-	v1.CostSatelliteUSD = 2e6
-	if _, err := v1.Apply(base); err == nil {
-		t.Error("v1 request with a cost override should be rejected")
-	}
-
-	bad := ScenarioRequest{Schema: "nope/v9", Experiment: "table2"}
-	if err := bad.ValidateSchema(); err == nil {
-		t.Error("unknown schema accepted")
+	for _, schema := range []string{"leodivide-serve/v1", "leodivide-serve/v2", "nope/v9"} {
+		req := ScenarioRequest{Schema: schema, Experiment: "table2"}
+		if _, err := req.Apply(base); err == nil || !strings.Contains(err.Error(), "unsupported schema") {
+			t.Errorf("schema %q: Apply returned %v, want an unsupported-schema error", schema, err)
+		}
+		body := fmt.Sprintf(`{"schema":%q,"experiment":"table2"}`, schema)
+		if _, err := ParseScenarioRequest([]byte(body)); err == nil {
+			t.Errorf("schema %q: ParseScenarioRequest accepted %s", schema, body)
+		}
 	}
 }
 
@@ -83,4 +82,45 @@ func TestParseScenarioRequestStrict(t *testing.T) {
 	if req.Experiment != "xconst" || req.Constellation != "kuiper" || req.Seed == nil || *req.Seed != 7 {
 		t.Errorf("parsed request %+v lost fields", req)
 	}
+}
+
+// FuzzScenarioRequest: every wire body either is rejected — by
+// ParseScenarioRequest, by Apply onto the default base, or by
+// CanonicalKey (a scenario without an experiment or with an
+// unencodable plan label has no key) — or round-trips: the applied
+// config's own Request() JSON re-parses and re-applies to the same
+// canonical key. The seed corpus is testdata/fuzz/FuzzScenarioRequest.
+func FuzzScenarioRequest(f *testing.F) {
+	f.Add([]byte(`{"schema":"leodivide-serve/v3","experiment":"table2"}`))
+	base := ScenarioConfig{RunConfig: DefaultRunConfig()}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := ParseScenarioRequest(data)
+		if err != nil {
+			return
+		}
+		cfg, err := req.Apply(base)
+		if err != nil {
+			return
+		}
+		key, err := cfg.CanonicalKey()
+		if err != nil {
+			return
+		}
+		wire, err := json.Marshal(cfg.Request())
+		if err != nil {
+			t.Fatalf("marshal of applied config %+v: %v", cfg, err)
+		}
+		req2, err := ParseScenarioRequest(wire)
+		if err != nil {
+			t.Fatalf("own wire form rejected: %v (body %s)", err, wire)
+		}
+		cfg2, err := req2.Apply(base)
+		if err != nil {
+			t.Fatalf("own wire form did not re-apply: %v (body %s)", err, wire)
+		}
+		key2, err := cfg2.CanonicalKey()
+		if err != nil || key2 != key {
+			t.Fatalf("round trip changed the key:\n got %q (err %v)\nwant %q\nbody %s", key2, err, key, wire)
+		}
+	})
 }
