@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: build test race vet lint lint-ratchet bench bench-sim bench-parallel bench-json bench-check \
-	fmt check verify fuzz-smoke cover cover-check serve-smoke
+	fmt check verify fuzz-smoke cover cover-check serve-smoke perfbench-test
 
 build:
 	$(GO) build ./...
@@ -77,6 +77,13 @@ fmt:
 # Replay the committed golden corpus; exits nonzero on drift.
 verify:
 	$(GO) run ./cmd/leodivide verify
+
+# perfbench/ is a nested module, so ./... never compiles it: vet and
+# unit-test it here so a library API change cannot silently break the
+# benchmark. Runs no workload.
+perfbench-test:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # End-to-end smoke of the scenario-query server: start `leodivide
 # serve` on a small dataset in the background, drive it with loadgen

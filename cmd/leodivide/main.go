@@ -61,6 +61,7 @@ import (
 	"leodivide/internal/linkbudget"
 	"leodivide/internal/obs"
 	"leodivide/internal/orbit"
+	"leodivide/internal/region"
 	"leodivide/internal/report"
 	"leodivide/internal/safeio"
 	"leodivide/internal/sim"
@@ -258,7 +259,7 @@ func runOne(ctx context.Context, w io.Writer, m leodivide.Model, ds *leodivide.D
 	}
 	switch name {
 	case "simcheck":
-		return runSimCheck(ctx, w, ds, m.Workers)
+		return runSimCheck(ctx, w, ds, m.Capacity.Parallelism)
 	case "ablate":
 		return runAblate(w, m, ds)
 	case "linkbudget":
@@ -438,6 +439,10 @@ func renderFindings(ctx context.Context, w io.Writer, m leodivide.Model, ds *leo
 }
 
 func runSimCheck(ctx context.Context, w io.Writer, ds *leodivide.Dataset, workers int) error {
+	// One span around every simulator call, so their sweeps nest under
+	// it in -trace rather than surfacing as orphan roots.
+	ctx, span := obs.StartSpan(ctx, "simcheck")
+	defer span.End()
 	cfg := sim.DefaultConfig()
 	cfg.Parallelism = workers
 	res, err := sim.Run(ctx, cfg, ds.Cells)
@@ -661,6 +666,9 @@ func runGen(ctx context.Context, w io.Writer, ds *leodivide.Dataset, seed int64,
 }
 
 func runStates(w io.Writer, m leodivide.Model, ds *leodivide.Dataset) error {
+	if ds.Region != region.DefaultKey {
+		return fmt.Errorf("states: the report card covers US states only, not region %q", ds.Region)
+	}
 	cfg := staterollup.DefaultConfig()
 	cfg.Beams = m.Capacity.Beams
 	cfg.MaxOversub = m.MaxOversub

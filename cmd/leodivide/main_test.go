@@ -76,8 +76,10 @@ func TestFig3Command(t *testing.T) {
 }
 
 // TestSimCheckHonorsParallelism requires simcheck's stdout to be
-// identical at -parallelism 1 and 0, and every worker pool of the
-// serial run, the simulator's included, to run on one worker.
+// identical at -parallelism 1 and 0, every worker pool of the serial
+// run, the simulator's included, to run on one worker, and every sweep
+// to nest under a span (generation's or simcheck's) rather than
+// surface as a root.
 func TestSimCheckHonorsParallelism(t *testing.T) {
 	rc := &obs.RecordingCollector{}
 	restore := obs.SetCollector(rc)
@@ -89,6 +91,9 @@ func TestSimCheckHonorsParallelism(t *testing.T) {
 			continue
 		}
 		sweeps++
+		if s.Parent == nil {
+			t.Fatalf("par.sweep %v is a root span", s.Attrs)
+		}
 		for _, a := range s.Attrs {
 			if a.Key == "workers" && a.Value != "1" {
 				t.Fatalf("par.sweep %v ran on %s workers under -parallelism 1", s.Attrs, a.Value)
@@ -100,6 +105,17 @@ func TestSimCheckHonorsParallelism(t *testing.T) {
 	}
 	if pooled := runCmd(t, "-parallelism", "0", "simcheck"); pooled != serial {
 		t.Errorf("simcheck stdout differs between -parallelism 1 and 0:\n%s\nvs\n%s", serial, pooled)
+	}
+}
+
+func TestStatesRejectsOtherRegions(t *testing.T) {
+	var buf bytes.Buffer
+	err := run([]string{"-scale", "0.05", "-region", "brazil-rural", "states"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "brazil-rural") {
+		t.Errorf("states on brazil-rural: got %v, want an error naming the region", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("states on brazil-rural printed:\n%s", buf.String())
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,7 +28,7 @@ func TestVerifyPassesOnCommittedCorpus(t *testing.T) {
 	if !strings.Contains(out, "verify: OK") {
 		t.Errorf("output missing OK line:\n%s", out)
 	}
-	if !strings.Contains(out, "experiment replays match") {
+	if !strings.Contains(out, "64 experiment replays match") {
 		t.Errorf("output missing replay count:\n%s", out)
 	}
 	for _, want := range []string{"region brazil-rural", "region taipei-dense"} {
@@ -37,59 +38,64 @@ func TestVerifyPassesOnCommittedCorpus(t *testing.T) {
 	}
 }
 
-// copyCorpusConfig copies one committed corpus config into a fresh root
-// so a test can mutate it without touching the repository corpus.
-func copyCorpusConfig(t *testing.T, seed, scale string) string {
+// copyCorpora copies both committed corpora into a fresh directory so
+// a test can mutate them without touching the repository's.
+func copyCorpora(t *testing.T) (corpus, regionCorpus string) {
 	t.Helper()
-	src := filepath.Join(repoCorpus, seed, scale)
-	dst := filepath.Join(t.TempDir(), "golden")
-	dir := filepath.Join(dst, seed, scale)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	dst := t.TempDir()
+	for _, src := range []string{repoCorpus, repoRegionCorpus} {
+		err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			b, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			to := filepath.Join(dst, strings.TrimPrefix(path, "../../"))
+			if err := os.MkdirAll(filepath.Dir(to), 0o755); err != nil {
+				return err
+			}
+			return os.WriteFile(to, b, 0o644)
+		})
+		if err != nil {
+			t.Fatalf("copy committed corpus: %v", err)
+		}
+	}
+	return filepath.Join(dst, "testdata", "golden"), filepath.Join(dst, "testdata", "golden-regions")
+}
+
+// mutate rewrites the first occurrence of field in a frozen file so
+// its value gains a leading 9.
+func mutate(t *testing.T, path, field string) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatalf("read committed corpus: %v", err)
+	mutated := strings.Replace(string(b), `"`+field+`": `, `"`+field+`": 9`, 1)
+	if mutated == string(b) {
+		t.Fatalf("%s has no %s field to mutate:\n%s", path, field, b)
 	}
-	for _, e := range entries {
-		b, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.WriteFile(path, []byte(mutated), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	return dst
 }
 
 func TestVerifyFailsOnDrift(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus replay is not a -short test")
 	}
-	corpus := copyCorpusConfig(t, "1", "0.02")
-
-	// Mutate one frozen anchor: fig1's max cell size.
-	fig1 := filepath.Join(corpus, "1", "0.02", "fig1.json")
-	b, err := os.ReadFile(fig1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mutated := strings.Replace(string(b), `"MaxCell": `, `"MaxCell": 9`, 1)
-	if mutated == string(b) {
-		t.Fatalf("fig1.json has no MaxCell field to mutate:\n%s", b)
-	}
-	if err := os.WriteFile(fig1, []byte(mutated), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	corpus, regionCorpus := copyCorpora(t)
+	mutate(t, filepath.Join(corpus, "1", "0.02", "fig1.json"), "MaxCell")
 
 	var buf bytes.Buffer
-	err = run([]string{"verify", "-corpus", corpus, "-region-corpus", ""}, &buf)
+	err := run([]string{"verify", "-corpus", corpus, "-region-corpus", regionCorpus}, &buf)
 	if err == nil {
 		t.Fatalf("verify must fail on a mutated corpus; output:\n%s", buf.String())
 	}
-	if !strings.Contains(err.Error(), "drifted") {
-		t.Errorf("error %q does not mention drift", err)
+	if !strings.Contains(err.Error(), "1 of 64 golden replays drifted") {
+		t.Errorf("error %q does not count the one drift", err)
 	}
 	out := buf.String()
 	// The drift report names the experiment, the config and the field path.
@@ -100,18 +106,42 @@ func TestVerifyFailsOnDrift(t *testing.T) {
 	}
 }
 
+// TestVerifyFailsOnIncompleteCorpus: the corpus must hold exactly the
+// expected files, and each way of breaking that fails before any
+// replay, naming what is wrong.
 func TestVerifyFailsOnIncompleteCorpus(t *testing.T) {
-	if testing.Short() {
-		t.Skip("corpus replay is not a -short test")
-	}
-	corpus := copyCorpusConfig(t, "1", "0.02")
-	if err := os.Remove(filepath.Join(corpus, "1", "0.02", "table2.json")); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	err := run([]string{"verify", "-corpus", corpus, "-region-corpus", ""}, &buf)
-	if err == nil || !strings.Contains(err.Error(), "table2") {
-		t.Errorf("missing-experiment corpus must fail naming table2, got %v", err)
+	for _, tc := range []struct {
+		name    string
+		corrupt func(corpus, regionCorpus string) error
+		want    string
+	}{
+		{"missing file", func(c, _ string) error {
+			return os.Remove(filepath.Join(c, "1", "0.02", "table2.json"))
+		}, filepath.Join("1", "0.02", "table2.json")},
+		{"stray file", func(c, _ string) error {
+			return os.WriteFile(filepath.Join(c, "2", "0.05", "retired.json"), []byte("{}\n"), 0o644)
+		}, "stray file"},
+		{"missing config", func(c, _ string) error {
+			return os.RemoveAll(filepath.Join(c, "2", "0.05"))
+		}, filepath.Join("golden", "2", "0.05") + " ("},
+		{"missing region corpus", func(_, r string) error {
+			return os.RemoveAll(filepath.Join(r, "taipei-dense"))
+		}, filepath.Join("golden-regions", "taipei-dense") + " ("},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			corpus, regionCorpus := copyCorpora(t)
+			if err := tc.corrupt(corpus, regionCorpus); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			err := run([]string{"verify", "-corpus", corpus, "-region-corpus", regionCorpus}, &buf)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("got %v, want an error containing %q", err, tc.want)
+			}
+			if buf.Len() != 0 {
+				t.Errorf("incomplete corpus must fail before replaying; output:\n%s", buf.String())
+			}
+		})
 	}
 }
 
@@ -121,34 +151,11 @@ func TestVerifyFailsOnRegionDrift(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus replay is not a -short test")
 	}
-	mainCorpus := copyCorpusConfig(t, "1", "0.02")
-
-	regionCorpus := filepath.Join(t.TempDir(), "golden-regions")
-	// The trimmed main corpus holds one config, so trim the region
-	// corpus to the same (seed, scale) per region.
-	for _, key := range []string{"brazil-rural", "taipei-dense"} {
-		dir := filepath.Join(regionCorpus, key, "1", "0.02")
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(filepath.Join(repoRegionCorpus, key, "1", "0.02", "findings.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if key == "brazil-rural" {
-			mutated := strings.Replace(string(b), `"TotalLocations": `, `"TotalLocations": 9`, 1)
-			if mutated == string(b) {
-				t.Fatalf("findings.json has no TotalLocations field to mutate:\n%s", b)
-			}
-			b = []byte(mutated)
-		}
-		if err := os.WriteFile(filepath.Join(dir, "findings.json"), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	corpus, regionCorpus := copyCorpora(t)
+	mutate(t, filepath.Join(regionCorpus, "brazil-rural", "1", "0.02", "findings.json"), "TotalLocations")
 
 	var buf bytes.Buffer
-	err := run([]string{"verify", "-corpus", mainCorpus, "-region-corpus", regionCorpus}, &buf)
+	err := run([]string{"verify", "-corpus", corpus, "-region-corpus", regionCorpus}, &buf)
 	if err == nil {
 		t.Fatalf("verify must fail on a mutated region corpus; output:\n%s", buf.String())
 	}

@@ -98,7 +98,7 @@ type CostCurveResult struct {
 func (m Model) CostCurve(ctx context.Context, d *Dataset) (CostCurveResult, error) {
 	dist := d.Distribution()
 	systems := constellation.Systems()
-	curves, err := par.Map(ctx, m.Workers, len(systems), func(i int) (SystemCostCurve, error) {
+	curves, err := par.Map(ctx, m.Capacity.Parallelism, len(systems), func(i int) (SystemCostCurve, error) {
 		return m.systemCostCurve(ctx, dist, systems[i])
 	})
 	if err != nil {
@@ -241,7 +241,7 @@ type CrossConstellationResult struct {
 func (m Model) CrossConstellation(ctx context.Context, d *Dataset) (CrossConstellationResult, error) {
 	dist := d.Distribution()
 	systems := constellation.Systems()
-	rows, err := par.Map(ctx, m.Workers, len(systems), func(i int) (ConstellationRow, error) {
+	rows, err := par.Map(ctx, m.Capacity.Parallelism, len(systems), func(i int) (ConstellationRow, error) {
 		return m.constellationRow(dist, systems[i]), nil
 	})
 	if err != nil {

@@ -1,15 +1,10 @@
 package leodivide
 
-// The golden-corpus regression gate. Every registered experiment's
-// result is frozen as canonical JSON under testdata/golden/<seed>/<scale>/
-// and replayed here at two seeds × two scales. Any semantic drift — a
-// refactor that changes Table 2 sizing, a calibration constant nudged,
-// a parallel fan-out that reorders a reduction — fails with a
-// field-level path naming the experiment and value.
+// The golden-corpus regression gate, through the same VerifyGolden that
+// `leodivide verify` runs. Regenerate both corpora after an intentional
+// model change with:
 //
-// Regenerate after an intentional model change with:
-//
-//	go test -run TestGoldenCorpus -update ./...
+//	go test -run TestGoldenCorpus -update .
 //
 // and review the corpus diff like any other code change: the diff IS
 // the semantic change, and it must be justified against the paper's
@@ -19,206 +14,91 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"testing"
 
 	"leodivide/internal/golden"
+	"leodivide/internal/region"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden corpus from the current implementation")
+var update = flag.Bool("update", false, "rewrite the golden corpora from the current implementation")
 
-// goldenRoot is the committed corpus location, shared with the
-// `leodivide verify` subcommand.
-const goldenRoot = "testdata/golden"
+const (
+	goldenRoot       = "testdata/golden"
+	goldenRegionRoot = "testdata/golden-regions"
+)
 
-// goldenConfigs is the replay matrix: two seeds × two scales. The
-// scales are small enough that the full 11-experiment replay stays in
-// CI seconds, and two seeds are enough to catch seed-dependent drift
-// (a constant folded wrongly shows at every seed; a generation change
-// shows differently per seed).
-func goldenConfigs() []golden.Config {
-	var cfgs []golden.Config
-	for _, seed := range []int64{1, 2} {
-		for _, scale := range []float64{0.02, 0.05} {
-			cfgs = append(cfgs, golden.Config{Seed: seed, Scale: scale})
-		}
-	}
-	return cfgs
-}
-
-// goldenTolerance is the corpus comparison policy. The default 1e-9
-// relative tolerance absorbs last-ulp float differences across Go
-// toolchain versions while still pinning every anchor to nine
-// significant digits; integer fields (satellite counts, cell maxima,
-// location totals) compare exactly because their JSON encodings are
-// string-identical.
-func goldenTolerance() golden.Tolerance {
-	return golden.Default()
-}
-
+// TestGoldenCorpus replays both committed corpora, one subtest per
+// (region, seed, scale) run and experiment.
 func TestGoldenCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden corpus replay is not a -short test")
 	}
-	ctx := context.Background()
-	for _, cfg := range goldenConfigs() {
-		cfg := cfg
-		t.Run(fmt.Sprintf("seed=%d/scale=%s", cfg.Seed, golden.FormatScale(cfg.Scale)), func(t *testing.T) {
-			rc := DefaultRunConfig()
-			rc.Seed = cfg.Seed
-			rc.Scale = cfg.Scale
-			ds, err := rc.Generate(ctx)
-			if err != nil {
-				t.Fatalf("generate: %v", err)
-			}
-			m := rc.BuildModel()
-			for _, exp := range m.Experiments() {
-				exp := exp
-				t.Run(exp.Name, func(t *testing.T) {
-					v, err := exp.Run(ctx, ds)
-					if err != nil {
-						t.Fatalf("run: %v", err)
-					}
-					path := golden.File(goldenRoot, cfg.Seed, cfg.Scale, exp.Name)
-					if *update {
-						if err := golden.WriteFile(ctx, path, v); err != nil {
-							t.Fatalf("update corpus: %v", err)
-						}
-						return
-					}
-					want, err := golden.ReadFile(path)
-					if err != nil {
-						t.Fatalf("read corpus %s: %v\n(run `go test -run TestGoldenCorpus -update ./...` to create it)", path, err)
-					}
-					got, err := golden.Encode(v)
-					if err != nil {
-						t.Fatalf("encode result: %v", err)
-					}
-					diffs, err := golden.Compare(got, want, goldenTolerance())
-					if err != nil {
-						t.Fatalf("compare against %s: %v", path, err)
-					}
-					for i, d := range diffs {
-						if i >= 10 {
-							t.Errorf("... and %d more field diffs", len(diffs)-i)
-							break
-						}
-						t.Errorf("%s drifted at %s", exp.Name, d)
-					}
-					if len(diffs) > 0 {
-						t.Fatalf("%s: %d field(s) drifted from %s\n(if the change is intentional, regenerate with -update and justify the corpus diff)", exp.Name, len(diffs), path)
+	runs, err := VerifyGolden(context.Background(), io.Discard,
+		goldenRoot, goldenRegionRoot, 0, 0, *update)
+	for _, r := range runs {
+		name := fmt.Sprintf("seed=%d/scale=%s", r.Seed, golden.FormatScale(r.Scale))
+		if r.Region != region.DefaultKey {
+			name = r.Region + "/" + name
+		}
+		t.Run(name, func(t *testing.T) {
+			for _, c := range r.Cases {
+				t.Run(c.Experiment, func(t *testing.T) {
+					for _, d := range c.Diffs {
+						t.Errorf("%s drifted at %s", c.File, d)
 					}
 				})
 			}
 		})
 	}
-}
-
-// goldenRegionRoot holds the per-region findings corpus: one root per
-// synthetic region (golden.Configs wants integer seed directories
-// directly under its root), each replayed at the same seed × scale
-// matrix as the main corpus. The US region needs no entry here — the
-// main corpus already freezes every experiment on the US geography.
-const goldenRegionRoot = "testdata/golden-regions"
-
-// goldenRegionKeys are the synthetic geographies with frozen findings.
-func goldenRegionKeys() []string { return []string{"brazil-rural", "taipei-dense"} }
-
-// TestGoldenRegionCorpus freezes the findings experiment per synthetic
-// region: the one-page summary exercises the full pipeline (capacity,
-// sizing, affordability) on each geography, so drift in any synthetic
-// generation step or region dispatch shows here with a field path.
-func TestGoldenRegionCorpus(t *testing.T) {
-	if testing.Short() {
-		t.Skip("golden corpus replay is not a -short test")
-	}
-	ctx := context.Background()
-	for _, key := range goldenRegionKeys() {
-		key := key
-		for _, cfg := range goldenConfigs() {
-			cfg := cfg
-			t.Run(fmt.Sprintf("%s/seed=%d/scale=%s", key, cfg.Seed, golden.FormatScale(cfg.Scale)), func(t *testing.T) {
-				ds, err := GenerateDataset(ctx,
-					WithSeed(cfg.Seed), WithScale(cfg.Scale), WithRegion(key))
-				if err != nil {
-					t.Fatalf("generate: %v", err)
-				}
-				m := NewModel()
-				exp, ok := m.ExperimentByName("findings")
-				if !ok {
-					t.Fatal("findings experiment not in registry")
-				}
-				v, err := exp.Run(ctx, ds)
-				if err != nil {
-					t.Fatalf("run: %v", err)
-				}
-				path := golden.File(goldenRegionRoot+"/"+key, cfg.Seed, cfg.Scale, "findings")
-				if *update {
-					if err := golden.WriteFile(ctx, path, v); err != nil {
-						t.Fatalf("update corpus: %v", err)
-					}
-					return
-				}
-				want, err := golden.ReadFile(path)
-				if err != nil {
-					t.Fatalf("read corpus %s: %v\n(run `go test -run TestGoldenRegionCorpus -update ./...` to create it)", path, err)
-				}
-				got, err := golden.Encode(v)
-				if err != nil {
-					t.Fatalf("encode result: %v", err)
-				}
-				diffs, err := golden.Compare(got, want, goldenTolerance())
-				if err != nil {
-					t.Fatalf("compare against %s: %v", path, err)
-				}
-				for i, d := range diffs {
-					if i >= 10 {
-						t.Errorf("... and %d more field diffs", len(diffs)-i)
-						break
-					}
-					t.Errorf("findings drifted at %s", d)
-				}
-				if len(diffs) > 0 {
-					t.Fatalf("findings on %s: %d field(s) drifted from %s\n(if the change is intentional, regenerate with -update and justify the corpus diff)", key, len(diffs), path)
-				}
-			})
-		}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestGoldenCorpusCoversRegistry pins the corpus to the registry: every
-// experiment must have a frozen file in every committed config, and the
-// corpus must not carry files for experiments that no longer exist.
-// This is what makes `leodivide verify` a complete gate rather than a
-// best-effort one.
+// TestGoldenCorpusCoversRegistry pins the main corpus to the registry
+// under VerifyGolden's completeness rule: a file for every experiment in
+// every (seed, scale) directory, and none for an experiment that no
+// longer exists. Unlike the replay it runs under -short.
 func TestGoldenCorpusCoversRegistry(t *testing.T) {
 	if *update {
 		t.Skip("corpus being rewritten")
 	}
-	cfgs, err := golden.Configs(goldenRoot)
-	if err != nil {
-		t.Fatalf("enumerate corpus: %v", err)
-	}
-	if len(cfgs) != len(goldenConfigs()) {
-		t.Fatalf("corpus has %d configs, test matrix has %d — regenerate with -update", len(cfgs), len(goldenConfigs()))
-	}
+	runs := goldenRuns(goldenRoot, "")
 	registry := NewModel().Experiments()
-	for _, cfg := range cfgs {
-		names, err := golden.Experiments(cfg.Dir)
-		if err != nil {
-			t.Fatalf("enumerate %s: %v", cfg.Dir, err)
+	for _, r := range runs {
+		if len(r.Cases) != len(registry) {
+			t.Errorf("seed=%d scale=%s: %d cases, registry has %d experiments",
+				r.Seed, golden.FormatScale(r.Scale), len(r.Cases), len(registry))
 		}
-		have := make(map[string]bool, len(names))
-		for _, n := range names {
-			have[n] = true
+	}
+	if err := checkGoldenCorpus(runs, goldenRoot); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGoldenRegionCorpus pins the per-region corpus to the region list
+// under the same completeness rule: findings for every non-default
+// region at every (seed, scale), and no stray region or file. Unlike the
+// replay it runs under -short.
+func TestGoldenRegionCorpus(t *testing.T) {
+	if *update {
+		t.Skip("corpus being rewritten")
+	}
+	var runs []GoldenRun
+	regions := make(map[string]bool)
+	for _, r := range goldenRuns(goldenRoot, goldenRegionRoot) {
+		if r.Region != region.DefaultKey {
+			runs = append(runs, r)
+			regions[r.Region] = true
 		}
-		for _, exp := range registry {
-			if !have[exp.Name] {
-				t.Errorf("corpus %s missing experiment %q — regenerate with -update", cfg.Dir, exp.Name)
-			}
-			delete(have, exp.Name)
+	}
+	for _, key := range region.Names() {
+		if key != region.DefaultKey && !regions[key] {
+			t.Errorf("region %s has no golden runs", key)
 		}
-		for n := range have {
-			t.Errorf("corpus %s has file for unknown experiment %q — delete it", cfg.Dir, n)
-		}
+	}
+	if err := checkGoldenCorpus(runs, goldenRegionRoot); err != nil {
+		t.Fatal(err)
 	}
 }

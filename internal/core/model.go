@@ -90,10 +90,8 @@ type Model struct {
 	// the model and dataset and lands in an index-ordered slot, so
 	// results are identical at every setting.
 	//
-	// Through the facade, set this via leodivide's Model.Parallelism
-	// (or RunConfig), which keeps it in lockstep with the facade's own
-	// worker bound; writing the field directly risks running the two
-	// layers at different counts and is unsupported there.
+	// Through the facade, this is also the bound for leodivide's own
+	// fan-outs; set it via Model.Parallelism (or RunConfig).
 	Parallelism int
 }
 

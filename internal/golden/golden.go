@@ -5,10 +5,10 @@
 // float tolerances, reporting drift as field-level diffs.
 //
 // The package is deliberately generic — it knows nothing about the
-// leodivide facade. The replay drivers (the root TestGoldenCorpus and
-// the `leodivide verify` CLI subcommand) enumerate the experiment
-// registry themselves and hand results here as plain values, so the
-// engine cannot drift from the registry it gates.
+// leodivide facade. The one replay driver, leodivide.VerifyGolden
+// (behind both TestGoldenCorpus and `leodivide verify`), enumerates the
+// experiment registry itself and hands results here as plain values, so
+// the engine cannot drift from the registry it gates.
 //
 // Why this exists: the reproduction's value is that its numbers land
 // where the paper's do (4.67M locations, max cell 5998, five cells
@@ -343,25 +343,6 @@ func Configs(root string) ([]Config, error) {
 		}
 		return out[i].Scale < out[j].Scale
 	})
-	return out, nil
-}
-
-// Experiments lists the experiment names frozen in one configuration
-// directory (the *.json basenames), sorted.
-func Experiments(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") {
-			return nil, fmt.Errorf("golden: unexpected entry %s in corpus dir %s", name, dir)
-		}
-		out = append(out, strings.TrimSuffix(name, ".json"))
-	}
-	sort.Strings(out)
 	return out, nil
 }
 

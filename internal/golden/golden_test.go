@@ -195,14 +195,6 @@ func TestCorpusLayoutRoundTrip(t *testing.T) {
 		t.Fatalf("configs out of order: %+v", configs)
 	}
 
-	names, err := Experiments(configs[0].Dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 1 || names[0] != "table2" {
-		t.Fatalf("experiments = %v, want [table2]", names)
-	}
-
 	// The frozen file compares clean against a fresh encoding.
 	frozen, err := ReadFile(File(root, 1, 0.02, "table2"))
 	if err != nil {

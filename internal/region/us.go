@@ -26,25 +26,14 @@ import (
 
 var metricIncomeSecs = obs.Default.Histogram("gen.assign_incomes.seconds", obs.DurationBuckets)
 
-// usRegion wraps the calibrated BDC generator configuration and income
-// anchors. The default instance (US) carries the paper-calibrated
-// configuration; USWith builds advanced variants for the facade's
-// WithGenConfig/WithIncomeAnchors options.
-type usRegion struct {
-	cfg     bdc.GenConfig
-	anchors []census.QuantileAnchor
-}
+// usRegion runs the calibrated BDC generator configuration and income
+// anchors.
+type usRegion struct{}
 
 // US returns the default region: the paper-calibrated United States
 // pipeline.
 func US() Region {
-	return usRegion{cfg: bdc.DefaultGenConfig(), anchors: census.DefaultIncomeAnchors()}
-}
-
-// USWith returns the US region with a replacement generator
-// configuration and income anchors (the facade's advanced options).
-func USWith(cfg bdc.GenConfig, anchors []census.QuantileAnchor) Region {
-	return usRegion{cfg: cfg, anchors: anchors}
+	return usRegion{}
 }
 
 func (usRegion) Key() string  { return DefaultKey }
@@ -55,11 +44,11 @@ func (usRegion) Description() string {
 
 // Generate runs the legacy pipeline: scale the BDC configuration,
 // synthesize cells, build the distribution, assign county incomes.
-func (u usRegion) Generate(ctx context.Context, g GenConfig) (Output, error) {
+func (usRegion) Generate(ctx context.Context, g GenConfig) (Output, error) {
 	if err := g.Validate(); err != nil {
 		return Output{}, err
 	}
-	cfg := u.cfg
+	cfg := bdc.DefaultGenConfig()
 	cfg.Seed = g.Seed
 	cfg.Parallelism = g.Parallelism
 	if g.Scale < 1 {
@@ -82,7 +71,7 @@ func (u usRegion) Generate(ctx context.Context, g GenConfig) (Output, error) {
 	if err != nil {
 		return Output{}, err
 	}
-	incomes, err := assignIncomes(ctx, dist, u.anchors, g.Seed, cfg.Parallelism)
+	incomes, err := assignIncomes(ctx, dist, census.DefaultIncomeAnchors(), g.Seed, cfg.Parallelism)
 	if err != nil {
 		return Output{}, err
 	}

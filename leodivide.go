@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"leodivide/internal/afford"
-	"leodivide/internal/bdc"
 	"leodivide/internal/census"
 	"leodivide/internal/constellation"
 	"leodivide/internal/core"
@@ -82,13 +81,10 @@ type Dataset struct {
 type Option func(*genOptions)
 
 type genOptions struct {
-	seed           int64
-	scale          float64
-	region         string
-	cfg            bdc.GenConfig
-	incomeAnchors  []census.QuantileAnchor
-	parallelism    int
-	hasParallelism bool
+	seed        int64
+	scale       float64
+	region      string
+	parallelism int
 }
 
 // WithSeed sets the generation seed (default 1).
@@ -110,22 +106,11 @@ func WithRegion(key string) Option {
 	return func(o *genOptions) { o.region = key }
 }
 
-// WithGenConfig replaces the calibrated BDC generator configuration
-// entirely (advanced; applies to the "us" region only).
-func WithGenConfig(cfg bdc.GenConfig) Option {
-	return func(o *genOptions) { o.cfg = cfg }
-}
-
-// WithIncomeAnchors replaces the calibrated income quantile anchors.
-func WithIncomeAnchors(anchors []census.QuantileAnchor) Option {
-	return func(o *genOptions) { o.incomeAnchors = anchors }
-}
-
 // WithParallelism bounds the worker count for generation (default one
 // worker per CPU; 1 reproduces the serial path). The dataset is
 // identical at every setting — parallelism only changes wall-clock time.
 func WithParallelism(n int) Option {
-	return func(o *genOptions) { o.parallelism, o.hasParallelism = n, true }
+	return func(o *genOptions) { o.parallelism = n }
 }
 
 // GenerateDataset synthesizes a dataset for the selected region
@@ -137,47 +122,22 @@ func GenerateDataset(ctx context.Context, opts ...Option) (*Dataset, error) {
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "generate_dataset")
 	defer span.End()
-	o := genOptions{
-		seed:          1,
-		scale:         1,
-		region:        region.DefaultKey,
-		cfg:           bdc.DefaultGenConfig(),
-		incomeAnchors: census.DefaultIncomeAnchors(),
-	}
+	o := genOptions{seed: 1, scale: 1, region: region.DefaultKey}
 	for _, opt := range opts {
 		opt(&o)
 	}
 	if o.scale <= 0 || o.scale > 1 {
 		return nil, fmt.Errorf("leodivide: scale must be in (0,1], got %v", o.scale)
 	}
-
-	// Resolve the geography. The default "us" region is constructed from
-	// the facade's (possibly overridden) generator configuration and
-	// income anchors, so WithGenConfig/WithIncomeAnchors keep working;
-	// every other region comes from the registry as declared.
-	var r region.Region
-	if o.region == region.DefaultKey {
-		cfg := o.cfg
-		if o.hasParallelism {
-			cfg.Parallelism = o.parallelism
-		}
-		r = region.USWith(cfg, o.incomeAnchors)
-	} else {
-		reg, ok := region.ByName(o.region)
-		if !ok {
-			return nil, fmt.Errorf("leodivide: unknown region %q (valid: %s)",
-				o.region, strings.Join(region.Names(), ", "))
-		}
-		r = reg
-	}
-	parallelism := o.cfg.Parallelism
-	if o.hasParallelism {
-		parallelism = o.parallelism
+	r, ok := region.ByName(o.region)
+	if !ok {
+		return nil, fmt.Errorf("leodivide: unknown region %q (valid: %s)",
+			o.region, strings.Join(region.Names(), ", "))
 	}
 	out, err := r.Generate(ctx, region.GenConfig{
 		Seed:        o.seed,
 		Scale:       o.scale,
-		Parallelism: parallelism,
+		Parallelism: o.parallelism,
 	})
 	if err != nil {
 		return nil, err
@@ -235,17 +195,6 @@ type Model struct {
 	// labels (nil = the paper's full comparison). Unknown labels are a
 	// run-time error naming the valid set.
 	PlanFilter []string
-	// Workers bounds the worker count for facade-level fan-outs (Fig3
-	// curves, Fig4 plan curves, Stability seeds). 0 means one worker
-	// per CPU; 1 is the serial path.
-	//
-	// Do not write this field directly: Parallelism is the single
-	// supported entry point for the parallelism knob and keeps Workers
-	// and Capacity.Parallelism in lockstep. Setting one without the
-	// other (field drift) leaves part of the pipeline at a different
-	// worker count and is unsupported. RunConfig carries the same knob
-	// for CLI/bench construction.
-	Workers int
 }
 
 // Parallelism returns a copy of the model whose experiment runners fan
@@ -253,12 +202,11 @@ type Model struct {
 // path). Every runner's output is identical at every setting; the knob
 // only changes wall-clock time.
 //
-// This is the one supported way to set the model's worker count: it
-// keeps the facade's Workers and the capacity model's Parallelism in
-// lockstep. The same knob reaches dataset generation through
-// WithParallelism (or RunConfig, which sets all of them coherently).
+// The bound lives in one field, Capacity.Parallelism, which the
+// capacity sweeps and the facade's fan-outs (Fig3 curves, Fig4 plan
+// curves, Stability seeds) all read. The same knob reaches dataset
+// generation through WithParallelism (or RunConfig, which sets both).
 func (m Model) Parallelism(n int) Model {
-	m.Workers = n
 	m.Capacity.Parallelism = n
 	return m
 }
@@ -482,7 +430,7 @@ func (m Model) Fig3(ctx context.Context, d *Dataset, spreads ...float64) ([]Fig3
 func (m Model) fig3At(ctx context.Context, d *Dataset, spreads []float64) ([]Fig3Result, error) {
 	dist := d.Distribution()
 	floor := dist.ExcessAbove(m.Capacity.Beams.MaxServableLocations(m.MaxOversub))
-	return par.Map(ctx, m.Workers, len(spreads), func(i int) (Fig3Result, error) {
+	return par.Map(ctx, m.Capacity.Parallelism, len(spreads), func(i int) (Fig3Result, error) {
 		s := spreads[i]
 		pts, err := m.Capacity.DiminishingReturns(ctx, dist, s, m.MaxOversub)
 		if err != nil {
@@ -521,7 +469,7 @@ func (m Model) Fig4(ctx context.Context, d *Dataset) (Fig4Result, error) {
 	if err != nil {
 		return Fig4Result{}, err
 	}
-	curves, err := in.EvaluateCurves(ctx, options, m.AffordShare, 0.055, 110, m.Workers)
+	curves, err := in.EvaluateCurves(ctx, options, m.AffordShare, 0.055, 110, m.Capacity.Parallelism)
 	if err != nil {
 		return Fig4Result{}, err
 	}

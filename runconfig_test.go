@@ -25,9 +25,8 @@ func TestRunConfigEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(m, want) {
 		t.Errorf("BuildModel = %+v, want %+v", m, want)
 	}
-	if m.Workers != m.Capacity.Parallelism {
-		t.Errorf("parallelism drift: Workers=%d, Capacity.Parallelism=%d",
-			m.Workers, m.Capacity.Parallelism)
+	if m.Capacity.Parallelism != 2 {
+		t.Errorf("BuildModel worker bound = %d, want 2", m.Capacity.Parallelism)
 	}
 
 	ds, err := cfg.Generate(ctx)
