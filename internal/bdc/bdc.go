@@ -18,7 +18,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 	"time"
 
 	"leodivide/internal/demand"
@@ -26,6 +25,7 @@ import (
 	"leodivide/internal/hexgrid"
 	"leodivide/internal/obs"
 	"leodivide/internal/par"
+	"leodivide/internal/stats"
 	"leodivide/internal/usgeo"
 )
 
@@ -33,12 +33,11 @@ import (
 // output sizes for the synthetic-dataset pipeline, recorded once per
 // generation so the instruments cost nothing on the per-cell paths.
 var (
-	metricGenerations  = obs.Default.Counter("bdc.generations")
-	metricCellsOut     = obs.Default.Counter("bdc.cells_generated")
-	metricGenSecs      = obs.Default.Histogram("bdc.generate.seconds", obs.DurationBuckets)
-	metricSampleSecs   = obs.Default.Histogram("bdc.sample_sites.seconds", obs.DurationBuckets)
-	metricGridSecs     = obs.Default.Histogram("bdc.us_cells.seconds", obs.DurationBuckets)
-	metricGridCacheHit = obs.Default.Counter("bdc.us_cells.cache_hits")
+	metricGenerations = obs.Default.Counter("bdc.generations")
+	metricCellsOut    = obs.Default.Counter("bdc.cells_generated")
+	metricGenSecs     = obs.Default.Histogram("bdc.generate.seconds", obs.DurationBuckets)
+	metricSampleSecs  = obs.Default.Histogram("bdc.sample_sites.seconds", obs.DurationBuckets)
+	metricGridSecs    = obs.Default.Histogram("bdc.us_cells.seconds", obs.DurationBuckets)
 )
 
 // QuantileAnchor pins the body-cell location-count quantile function.
@@ -148,72 +147,48 @@ func (c GenConfig) Validate() error {
 	return nil
 }
 
-// bodyQuantile evaluates the body quantile function at q in [0,1],
-// interpolating log-linearly between anchors.
-func (c GenConfig) bodyQuantile(q float64) float64 {
-	a := c.BodyAnchors
-	if q <= 0 {
-		return a[0].Locations
+// bodyCurve is the body quantile function: q in [0,1] to a location
+// count, interpolated log-linearly between the anchors.
+func (c GenConfig) bodyCurve() stats.LogLinear {
+	qs := make([]float64, len(c.BodyAnchors))
+	locs := make([]float64, len(c.BodyAnchors))
+	for i, a := range c.BodyAnchors {
+		qs[i], locs[i] = a.Q, a.Locations
 	}
-	if q >= 1 {
-		return a[len(a)-1].Locations
-	}
-	i := sort.Search(len(a), func(i int) bool { return a[i].Q > q }) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(a)-1 {
-		i = len(a) - 2
-	}
-	lo, hi := a[i], a[i+1]
-	t := (q - lo.Q) / (hi.Q - lo.Q)
-	return math.Exp(math.Log(lo.Locations) + t*(math.Log(hi.Locations)-math.Log(lo.Locations)))
+	return stats.NewLogLinear(qs, locs)
 }
 
 // bodyCounts returns per-cell counts (ascending) whose sum is exactly
 // target, drawn from the anchored quantile function.
 func (c GenConfig) bodyCounts(target int) []int {
-	// The sum over N midpoint-quantile draws grows monotonically with N;
-	// binary-search N, then trim the residual on mid-ranked cells.
-	sumFor := func(n int) (int, []int) {
-		counts := make([]int, n)
+	curve := c.bodyCurve()
+	// Cell k of n draws the curve at its midpoint quantile.
+	count := func(k, n int) int {
+		v := int(math.Round(curve.At((float64(k) + 0.5) / float64(n))))
+		if v < 1 {
+			v = 1
+		}
+		return v
+	}
+	n := bodyCellCount(target, func(n int) int {
 		s := 0
 		for k := 0; k < n; k++ {
-			v := int(math.Round(c.bodyQuantile((float64(k) + 0.5) / float64(n))))
-			if v < 1 {
-				v = 1
-			}
-			counts[k] = v
-			s += v
+			s += count(k, n)
 		}
-		return s, counts
+		return s
+	})
+	counts := make([]int, n)
+	sum := 0
+	for k := range counts {
+		counts[k] = count(k, n)
+		sum += counts[k]
 	}
-	lo, hi := 1, 16
-	for {
-		s, _ := sumFor(hi)
-		if s >= target {
-			break
-		}
-		lo = hi
-		hi *= 2
-	}
-	for lo < hi {
-		mid := (lo + hi) / 2
-		s, _ := sumFor(mid)
-		if s < target {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	sum, counts := sumFor(lo)
 	// Trim the residual by decrementing (or incrementing) cells spread
 	// across the ranks, preserving the anchored quantiles. The stride is
 	// chosen co-prime with n so every cell is eventually visited, and a
 	// full no-progress cycle terminates the loop (possible only when the
 	// target is smaller than the smallest achievable sum).
 	residual := sum - target
-	n := len(counts)
 	step := 7
 	for n > 0 && gcd(step, n) != 1 {
 		step++
@@ -238,6 +213,26 @@ func (c GenConfig) bodyCounts(target int) []int {
 	}
 	sort.Ints(counts)
 	return counts
+}
+
+// bodyCellCount returns the least n whose n midpoint-quantile draws
+// sum to at least target. The sum grows monotonically with n, so the
+// search doubles, then bisects.
+func bodyCellCount(target int, sumFor func(n int) int) int {
+	lo, hi := 1, 16
+	for sumFor(hi) < target {
+		lo = hi
+		hi *= 2
+	}
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if sumFor(mid) < target {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 func gcd(a, b int) int {
@@ -440,40 +435,24 @@ func sampleSites(ctx context.Context, rng *rand.Rand, res hexgrid.Resolution, n 
 }
 
 // usCells enumerates every grid cell whose center falls inside a US
-// state frame, bucketed by state in deterministic order. The
-// enumeration walks the full global grid once and is cached per
-// resolution.
-var (
-	usCellsMu    sync.Mutex
-	usCellsCache = make(map[hexgrid.Resolution]map[string][]hexgrid.CellID)
-)
-
+// state frame, bucketed by state in deterministic order. The 20
+// icosahedron faces are walked concurrently, each visiting only the
+// rows and cells that can meet the US box; concatenating the face
+// shards in face order reproduces hexgrid.ForEachCell's exact per-state
+// bucket ordering.
 func usCells(ctx context.Context, res hexgrid.Resolution, workers int) (map[string][]hexgrid.CellID, error) {
-	usCellsMu.Lock()
-	defer usCellsMu.Unlock()
-	if m, ok := usCellsCache[res]; ok {
-		metricGridCacheHit.Inc()
-		return m, nil
-	}
-	//lint:ignore detrand wall-clock feeds the grid-cache timing metric only, never generated data
+	//lint:ignore detrand wall-clock feeds the grid-enumeration timing metric only, never generated data
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "bdc.us_cells")
 	defer func() {
 		metricGridSecs.ObserveSince(start)
 		span.End()
 	}()
-	// Enumerate the 20 icosahedron faces concurrently; concatenating the
-	// face shards in face order reproduces hexgrid.ForEachCell's exact
-	// per-state bucket ordering.
 	shards, err := par.Map(ctx, workers, 20, func(f int) (map[string][]hexgrid.CellID, error) {
 		shard := make(map[string][]hexgrid.CellID)
-		hexgrid.ForEachCellOnFace(res, f, func(id hexgrid.CellID) {
-			center := id.LatLng()
-			// Quick reject: the US (including the trimmed Alaska frame
-			// and Hawaii) lies inside this box.
-			if center.Lat < 18 || center.Lat > 67 || center.Lng < -169 || center.Lng > -66 {
-				return
-			}
+		// The US (including the trimmed Alaska frame and Hawaii) lies
+		// inside this box.
+		hexgrid.ForEachCellOnFaceInBox(res, f, 18, 67, -169, -66, func(id hexgrid.CellID, center geo.LatLng) {
 			if s, ok := usgeo.StateAt(center); ok {
 				shard[s.Abbr] = append(shard[s.Abbr], id)
 			}
@@ -489,7 +468,6 @@ func usCells(ctx context.Context, res hexgrid.Resolution, workers int) (map[stri
 			m[abbr] = append(m[abbr], ids...)
 		}
 	}
-	usCellsCache[res] = m
 	return m, nil
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"bytes"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -53,12 +54,69 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 func TestBodyQuantileAnchored(t *testing.T) {
 	cfg := DefaultGenConfig()
 	for _, a := range cfg.BodyAnchors {
-		if got := cfg.bodyQuantile(a.Q); math.Abs(got-a.Locations)/a.Locations > 1e-9 {
+		if got := cfg.bodyCurve().At(a.Q); math.Abs(got-a.Locations)/a.Locations > 1e-9 {
 			t.Errorf("bodyQuantile(%v) = %v, want %v", a.Q, got, a.Locations)
 		}
 	}
-	if got := cfg.bodyQuantile(-1); got != 1 {
+	if got := cfg.bodyCurve().At(-1); got != 1 {
 		t.Errorf("bodyQuantile(-1) = %v", got)
+	}
+}
+
+// bodyQuantileRef is the body quantile formula as first written, with
+// the three anchor logs taken on every call: the reference the hoisted
+// stats.LogLinear must match bit for bit.
+func bodyQuantileRef(a []QuantileAnchor, q float64) float64 {
+	if q <= 0 {
+		return a[0].Locations
+	}
+	if q >= 1 {
+		return a[len(a)-1].Locations
+	}
+	i := sort.Search(len(a), func(i int) bool { return a[i].Q > q }) - 1
+	if i < 0 {
+		i = 0
+	}
+	if i >= len(a)-1 {
+		i = len(a) - 2
+	}
+	lo, hi := a[i], a[i+1]
+	t := (q - lo.Q) / (hi.Q - lo.Q)
+	return math.Exp(math.Log(lo.Locations) + t*(math.Log(hi.Locations)-math.Log(lo.Locations)))
+}
+
+// TestBodyCurveBitIdentical evaluates the curve at every (k, n) the
+// cell-count search visits, for the calibrated target and a spread of
+// others, and at a few fixed n, and requires every value to equal the
+// reference formula's bits.
+func TestBodyCurveBitIdentical(t *testing.T) {
+	cfg := DefaultGenConfig()
+	curve := cfg.bodyCurve()
+	sumFor := func(n int) int {
+		s := 0
+		for k := 0; k < n; k++ {
+			q := (float64(k) + 0.5) / float64(n)
+			got, want := curve.At(q), bodyQuantileRef(cfg.BodyAnchors, q)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d k=%d: curve %v, reference %v", n, k, got, want)
+			}
+			v := int(math.Round(want))
+			if v < 1 {
+				v = 1
+			}
+			s += v
+		}
+		return s
+	}
+	peakSum := 0
+	for _, p := range cfg.Peaks {
+		peakSum += p.Locations
+	}
+	for _, target := range []int{1, 1000, 90001, cfg.TotalLocations - peakSum} {
+		bodyCellCount(target, sumFor)
+	}
+	for _, n := range []int{1, 7, 1000, 27042, 32768} {
+		sumFor(n)
 	}
 }
 

@@ -428,6 +428,102 @@ func ForEachCellOnFace(r Resolution, face int, fn func(CellID)) {
 	}
 }
 
+// boxMargin is the slack, in unit-sphere units (~6 m on the Earth),
+// that ForEachCellOnFaceInBox's prefilters leave on the keep side of
+// every box edge. It is orders of magnitude above the float rounding in
+// either the prefilter or CellID.LatLng, so a prefilter never rejects a
+// cell the exact box test would keep.
+const boxMargin = 1e-6
+
+// ForEachCellOnFaceInBox calls fn for exactly the cells
+// ForEachCellOnFace(r, face) visits whose center c passes the closed
+// box test latMin <= c.Lat <= latMax, lngMin <= c.Lng <= lngMax, in the
+// same ascending (i, j) order, passing fn the center CellID.LatLng
+// computed for the test.
+//
+// It skips what cannot meet the box. Row i of a face is a great-circle
+// arc: its unnormalised vertices c0·i + c2·(n−i) + j·(c1−c2) are linear
+// in j. For a box narrower than 180° of longitude the two meridian
+// half-space tests are therefore linear in j too, and clip the row to
+// one j-interval. Within it, cells are prefiltered on the z-component
+// of their unit vector. Both prefilters only reject, with boxMargin to
+// spare; the keep decision is always the exact comparison on LatLng.
+func ForEachCellOnFaceInBox(r Resolution, face int, latMin, latMax, lngMin, lngMax float64, fn func(CellID, geo.LatLng)) {
+	n := r.Subdivisions()
+	c := faceCorner[face]
+	d := c[1].Sub(c[2])
+	// sin is monotone on [-90°, 90°]; a bound at or past a pole
+	// constrains nothing.
+	zLo, zHi := math.Inf(-1), math.Inf(1)
+	if latMin > -90 {
+		zLo = math.Sin(geo.Radians(latMin)) - boxMargin
+	}
+	if latMax < 90 {
+		zHi = math.Sin(geo.Radians(latMax)) + boxMargin
+	}
+	// Longitudes in [a, b] with b−a < 180° are the intersection of the
+	// half-spaces v·(−sin a, cos a, 0) >= 0 and v·(sin b, −cos b, 0) >= 0.
+	// Wider (or NaN) boxes switch the longitude prefilter off.
+	lune := lngMax-lngMin < 180
+	var west, east geo.Vec3
+	if lune {
+		a, b := geo.Radians(lngMin), geo.Radians(lngMax)
+		west = geo.Vec3{X: -math.Sin(a), Y: math.Cos(a)}
+		east = geo.Vec3{X: math.Sin(b), Y: -math.Cos(b)}
+	}
+	// Unnormalised vertices have norm at most n, so this is boxMargin
+	// on the unit sphere.
+	tol := boxMargin * float64(n)
+	for i := 0; i <= n; i++ {
+		row := c[0].Scale(float64(i)).Add(c[2].Scale(float64(n - i)))
+		jLo, jHi := 0, n-i
+		if lune {
+			jLo, jHi = clipRow(row, d, west, tol, jLo, jHi)
+			jLo, jHi = clipRow(row, d, east, tol, jLo, jHi)
+		}
+		for j := jLo; j <= jHi; j++ {
+			w := row.Add(d.Scale(float64(j)))
+			if z := w.Z / w.Norm(); z < zLo || z > zHi {
+				continue
+			}
+			id := canonicalize(r, face, i, j)
+			if id.Face() != face {
+				continue
+			}
+			if fi, fj := id.Coords(); fi != i || fj != j {
+				continue
+			}
+			p := id.LatLng()
+			if p.Lat < latMin || p.Lat > latMax || p.Lng < lngMin || p.Lng > lngMax {
+				continue
+			}
+			fn(id, p)
+		}
+	}
+}
+
+// clipRow narrows [jLo, jHi] to the j whose unnormalised vertex
+// row + j·d lies on the inner side of the plane with normal nv, less
+// tol: row·nv + j·(d·nv) >= −tol is linear in j, so the survivors form
+// one interval.
+func clipRow(row, d, nv geo.Vec3, tol float64, jLo, jHi int) (int, int) {
+	alpha, beta := row.Dot(nv), d.Dot(nv)
+	x := (-tol - alpha) / beta
+	switch {
+	case beta > 0: // j >= x
+		if x > float64(jLo) {
+			jLo = int(math.Min(math.Ceil(x), float64(jHi+1)))
+		}
+	case beta < 0: // j <= x
+		if x < float64(jHi) {
+			jHi = int(math.Max(math.Floor(x), float64(jLo-1)))
+		}
+	case alpha < -tol: // beta == 0: the row runs parallel to the plane, outside it
+		return jLo, jLo - 1
+	}
+	return jLo, jHi
+}
+
 // CountCells enumerates the globe at r and returns the number of
 // distinct cells; used to validate NumCells.
 func CountCells(r Resolution) int {

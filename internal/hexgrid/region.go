@@ -1,7 +1,6 @@
 package hexgrid
 
 import (
-	"math"
 	"sort"
 
 	"leodivide/internal/geo"
@@ -65,32 +64,13 @@ func RectFill(latLo, latHi, lngLo, lngHi float64, r Resolution) []CellID {
 	if !r.Valid() || latHi < latLo || lngHi < lngLo {
 		return nil
 	}
-	// Seed a point lattice finer than the cell spacing, map each point
-	// to its cell, and keep the cells whose centers are inside.
-	spacingDeg := geo.Degrees(edgeAngle/float64(r.Subdivisions())) * 0.6
-	seen := make(map[CellID]bool)
+	// Faces in order, each in ascending (i, j): that is CellID order.
 	var out []CellID
-	for lat := latLo; lat <= latHi+spacingDeg; lat += spacingDeg {
-		// Longitude degrees shrink with latitude.
-		cosLat := math.Cos(geo.Radians(math.Min(math.Abs(lat), 89)))
-		lngStep := spacingDeg
-		if cosLat > 0.02 {
-			lngStep = spacingDeg / cosLat
-		}
-		for lng := lngLo; lng <= lngHi+lngStep; lng += lngStep {
-			id := LatLngToCell(geo.LatLng{Lat: clampLat(lat), Lng: clampLng(lng)}, r)
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			center := id.LatLng()
-			if center.Lat >= latLo && center.Lat <= latHi &&
-				center.Lng >= lngLo && center.Lng <= lngHi {
-				out = append(out, id)
-			}
-		}
+	for f := 0; f < 20; f++ {
+		ForEachCellOnFaceInBox(r, f, latLo, latHi, lngLo, lngHi, func(id CellID, _ geo.LatLng) {
+			out = append(out, id)
+		})
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
 }
 
@@ -132,24 +112,4 @@ func DiscFill(center geo.LatLng, radiusKm float64, r Resolution) []CellID {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
-}
-
-func clampLat(lat float64) float64 {
-	if lat > 90 {
-		return 90
-	}
-	if lat < -90 {
-		return -90
-	}
-	return lat
-}
-
-func clampLng(lng float64) float64 {
-	if lng > 180 {
-		return 180
-	}
-	if lng < -180 {
-		return -180
-	}
-	return lng
 }

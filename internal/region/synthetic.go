@@ -27,13 +27,13 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"leodivide/internal/census"
 	"leodivide/internal/demand"
 	"leodivide/internal/geo"
 	"leodivide/internal/hexgrid"
 	"leodivide/internal/par"
+	"leodivide/internal/stats"
 )
 
 // DensityAnchor pins the synthetic per-cell demand shape at one
@@ -228,26 +228,16 @@ func (s SyntheticSpec) Validate() error {
 	return nil
 }
 
-// shapeAt evaluates the density shape at q in [0,1], interpolating
-// log-linearly between anchors (weights are validated positive).
-func (s SyntheticSpec) shapeAt(q float64) float64 {
-	a := s.DensityAnchors
-	if q <= 0 {
-		return a[0].Weight
+// shape is the density shape: q in [0,1] to a relative weight,
+// interpolated log-linearly between the anchors (weights are validated
+// positive).
+func (s SyntheticSpec) shape() stats.LogLinear {
+	qs := make([]float64, len(s.DensityAnchors))
+	ws := make([]float64, len(s.DensityAnchors))
+	for i, a := range s.DensityAnchors {
+		qs[i], ws[i] = a.Q, a.Weight
 	}
-	if q >= 1 {
-		return a[len(a)-1].Weight
-	}
-	i := sort.Search(len(a), func(i int) bool { return a[i].Q > q }) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(a)-1 {
-		i = len(a) - 2
-	}
-	lo, hi := a[i], a[i+1]
-	t := (q - lo.Q) / (hi.Q - lo.Q)
-	return math.Exp(math.Log(lo.Weight) + t*(math.Log(hi.Weight)-math.Log(lo.Weight)))
+	return stats.NewLogLinear(qs, ws)
 }
 
 // bodyCounts splits total over exactly n cells proportionally to the
@@ -260,10 +250,11 @@ func (s SyntheticSpec) bodyCounts(total, n int) ([]int, error) {
 		return nil, fmt.Errorf("region: spec %q: %d body locations cannot cover %d cells (scale too small)",
 			s.Key, total, n)
 	}
+	shape := s.shape()
 	weights := make([]float64, n)
 	sumW := 0.0
 	for k := 0; k < n; k++ {
-		weights[k] = s.shapeAt((float64(k) + 0.5) / float64(n))
+		weights[k] = shape.At((float64(k) + 0.5) / float64(n))
 		sumW += weights[k]
 	}
 	counts := make([]int, n)
@@ -425,35 +416,14 @@ func districtIncomes(dist *demand.Distribution, s SyntheticSpec, seed int64) (*c
 
 // boxCells enumerates the grid cells whose centers fall inside the
 // spec's footprint box, in canonical grid order: the 20 icosahedron
-// faces are walked concurrently (RNG-free) and concatenated in face
-// order, exactly the bdc.usCells pattern. Enumerations are cached per
-// (resolution, box).
-type boxKey struct {
-	res                            hexgrid.Resolution
-	latMin, latMax, lngMin, lngMax float64
-}
-
-var (
-	boxCellsMu    sync.Mutex
-	boxCellsCache = make(map[boxKey][]hexgrid.CellID)
-)
-
+// faces are walked concurrently (RNG-free), each visiting only the rows
+// and cells that can meet the box, and concatenated in face order,
+// exactly the bdc.usCells pattern.
 func boxCells(ctx context.Context, s SyntheticSpec, workers int) ([]hexgrid.CellID, error) {
-	key := boxKey{res: s.Resolution, latMin: s.LatMinDeg, latMax: s.LatMaxDeg, lngMin: s.LngMinDeg, lngMax: s.LngMaxDeg}
-	boxCellsMu.Lock()
-	defer boxCellsMu.Unlock()
-	if ids, ok := boxCellsCache[key]; ok {
-		return ids, nil
-	}
 	shards, err := par.Map(ctx, workers, 20, func(f int) ([]hexgrid.CellID, error) {
 		var shard []hexgrid.CellID
-		hexgrid.ForEachCellOnFace(s.Resolution, f, func(id hexgrid.CellID) {
-			c := id.LatLng()
-			if c.Lat < s.LatMinDeg || c.Lat > s.LatMaxDeg || c.Lng < s.LngMinDeg || c.Lng > s.LngMaxDeg {
-				return
-			}
-			shard = append(shard, id)
-		})
+		hexgrid.ForEachCellOnFaceInBox(s.Resolution, f, s.LatMinDeg, s.LatMaxDeg, s.LngMinDeg, s.LngMaxDeg,
+			func(id hexgrid.CellID, _ geo.LatLng) { shard = append(shard, id) })
 		return shard, nil
 	})
 	if err != nil {
@@ -463,6 +433,5 @@ func boxCells(ctx context.Context, s SyntheticSpec, workers int) ([]hexgrid.Cell
 	for _, shard := range shards {
 		ids = append(ids, shard...)
 	}
-	boxCellsCache[key] = ids
 	return ids, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -189,22 +190,61 @@ func TestBodyCounts(t *testing.T) {
 	}
 }
 
+// shapeAtRef is the density-shape formula as first written, with the
+// three anchor logs taken on every call.
+func shapeAtRef(a []DensityAnchor, q float64) float64 {
+	if q <= 0 {
+		return a[0].Weight
+	}
+	if q >= 1 {
+		return a[len(a)-1].Weight
+	}
+	i := sort.Search(len(a), func(i int) bool { return a[i].Q > q }) - 1
+	if i < 0 {
+		i = 0
+	}
+	if i >= len(a)-1 {
+		i = len(a) - 2
+	}
+	lo, hi := a[i], a[i+1]
+	t := (q - lo.Q) / (hi.Q - lo.Q)
+	return math.Exp(math.Log(lo.Weight) + t*(math.Log(hi.Weight)-math.Log(lo.Weight)))
+}
+
+// TestShapeBitIdentical: the hoisted shape equals the reference formula
+// bit for bit at every midpoint quantile bodyCounts draws, for both
+// shipped specs at their own cell counts and a few others.
+func TestShapeBitIdentical(t *testing.T) {
+	for _, s := range []SyntheticSpec{brazilRuralSpec, taipeiDenseSpec} {
+		shape := s.shape()
+		for _, n := range []int{1, 7, 1000, s.Cells} {
+			for k := 0; k < n; k++ {
+				q := (float64(k) + 0.5) / float64(n)
+				got, want := shape.At(q), shapeAtRef(s.DensityAnchors, q)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s n=%d k=%d: shape %v, reference %v", s.Key, n, k, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestShapeAtMonotone: the log-linear interpolation respects the
 // anchored envelope — non-decreasing in q, clamped at the endpoints.
 func TestShapeAtMonotone(t *testing.T) {
 	s := brazilRuralSpec
-	prev := s.shapeAt(-0.5)
+	prev := s.shape().At(-0.5)
 	if prev != s.DensityAnchors[0].Weight {
 		t.Errorf("shapeAt(-0.5) = %v, want the first anchor weight %v", prev, s.DensityAnchors[0].Weight)
 	}
 	for q := 0.0; q <= 1.0; q += 0.01 {
-		w := s.shapeAt(q)
+		w := s.shape().At(q)
 		if w < prev {
 			t.Fatalf("shapeAt(%v) = %v dropped below %v", q, w, prev)
 		}
 		prev = w
 	}
-	if got := s.shapeAt(1.5); got != s.DensityAnchors[len(s.DensityAnchors)-1].Weight {
+	if got := s.shape().At(1.5); got != s.DensityAnchors[len(s.DensityAnchors)-1].Weight {
 		t.Errorf("shapeAt(1.5) = %v, want the last anchor weight", got)
 	}
 }

@@ -362,3 +362,39 @@ func Gini(samples []float64) (float64, error) {
 	}
 	return (2*weighted - (n+1)*total) / (n * total), nil
 }
+
+// LogLinear is a function pinned at anchor points (x_i, y_i), with x
+// strictly increasing and y positive: log y is interpolated linearly
+// between anchors and clamped to the end values outside them. The
+// anchor logs are taken once, at construction, so evaluating it costs
+// one math.Exp.
+type LogLinear struct {
+	xs, ys, logs []float64
+}
+
+// NewLogLinear builds the function over the anchors; xs and ys must
+// have the same length, at least two. The slices are retained.
+func NewLogLinear(xs, ys []float64) LogLinear {
+	logs := make([]float64, len(ys))
+	for i, y := range ys {
+		logs[i] = math.Log(y)
+	}
+	return LogLinear{xs: xs, ys: ys, logs: logs}
+}
+
+// At evaluates the function at x.
+func (l LogLinear) At(x float64) float64 {
+	last := len(l.xs) - 1
+	if x <= l.xs[0] {
+		return l.ys[0]
+	}
+	if x >= l.xs[last] {
+		return l.ys[last]
+	}
+	i := sort.Search(len(l.xs), func(i int) bool { return l.xs[i] > x }) - 1
+	if i >= last { // x is NaN
+		i = last - 1
+	}
+	t := (x - l.xs[i]) / (l.xs[i+1] - l.xs[i])
+	return math.Exp(l.logs[i] + t*(l.logs[i+1]-l.logs[i]))
+}

@@ -403,3 +403,25 @@ func TestGiniScaleInvariantProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestLogLinear(t *testing.T) {
+	l := NewLogLinear([]float64{0, 0.5, 1}, []float64{1, 100, 400})
+	for _, c := range []struct{ x, want float64 }{
+		{-1, 1}, {0, 1}, {0.25, 10}, {0.5, 100}, {0.75, 200}, {1, 400}, {2, 400},
+	} {
+		if got := l.At(c.x); math.Abs(got-c.want) > 1e-9*c.want {
+			t.Errorf("At(%v) = %v, want %v", c.x, got, c.want)
+		}
+	}
+	prev := l.At(0)
+	for x := 0.0; x <= 1; x += 0.001 {
+		got := l.At(x)
+		if got < prev {
+			t.Fatalf("At(%v) = %v dropped below %v", x, got, prev)
+		}
+		prev = got
+	}
+	if got := l.At(math.NaN()); !math.IsNaN(got) {
+		t.Errorf("At(NaN) = %v, want NaN", got)
+	}
+}

@@ -129,22 +129,40 @@ func ByAbbr(abbr string) (State, error) {
 }
 
 // StateAt returns the state whose frame contains p. When frames overlap
-// (coarse rectangles do), the state whose center is nearest wins.
+// (coarse rectangles do), the state whose center is nearest wins; on an
+// exact tie, the earlier state in the list.
 func StateAt(p geo.LatLng) (State, bool) {
-	best := State{}
+	if !(p.Lat >= -90 && p.Lat <= 90) { // no frame holds it (or NaN)
+		return State{}, false
+	}
+	var best *State
 	bestDist := math.Inf(1)
-	found := false
-	for _, s := range states {
+	for _, i := range latBands[int(math.Floor(p.Lat))+90] {
+		s := &states[i]
 		if !s.Contains(p) {
 			continue
 		}
-		d := geo.DistanceKm(p, s.Center())
-		if d < bestDist {
-			best, bestDist, found = s, d, true
+		if d := geo.DistanceKm(p, s.Center()); d < bestDist {
+			best, bestDist = s, d
 		}
 	}
-	return best, found
+	if best == nil {
+		return State{}, false
+	}
+	return *best, true
 }
+
+// latBands[b] lists, in list order, the frames whose latitude range
+// meets the 1° band [b−90, b−89]: every frame that can contain a point
+// in that band, in the order the nearest-center rule needs.
+var latBands = func() (bands [181][]int) {
+	for i, s := range states {
+		for b := int(math.Floor(s.LatLo)) + 90; b <= int(math.Floor(s.LatHi))+90; b++ {
+			bands[b] = append(bands[b], i)
+		}
+	}
+	return bands
+}()
 
 // County is a synthetic county: a deterministic tile of its state's
 // frame with a FIPS-style identifier.

@@ -83,6 +83,65 @@ func TestStateAtKnownPoints(t *testing.T) {
 	}
 }
 
+// stateAtLinear is the reference StateAt: every frame in list order,
+// nearest center wins, strict < so the earlier state keeps a tie.
+func stateAtLinear(p geo.LatLng) (State, bool) {
+	best := State{}
+	bestDist := math.Inf(1)
+	found := false
+	for _, s := range states {
+		if !s.Contains(p) {
+			continue
+		}
+		d := geo.DistanceKm(p, s.Center())
+		if d < bestDist {
+			best, bestDist, found = s, d, true
+		}
+	}
+	return best, found
+}
+
+// TestStateAtMatchesLinearScan samples a lattice built from every frame
+// edge, its float neighbours on both sides and a regular grid, so every
+// band of the latitude index, every overlap and every closed edge is
+// hit, and requires the indexed StateAt to agree with the full scan.
+func TestStateAtMatchesLinearScan(t *testing.T) {
+	axis := func(lo, hi float64, edges func(State) (float64, float64)) []float64 {
+		var vs []float64
+		for _, s := range states {
+			a, b := edges(s)
+			for _, e := range []float64{a, b} {
+				vs = append(vs, math.Nextafter(e, math.Inf(-1)), e, math.Nextafter(e, math.Inf(1)))
+			}
+		}
+		for v := lo; v <= hi; v += 0.25 {
+			vs = append(vs, v)
+		}
+		return vs
+	}
+	lats := axis(15, 70, func(s State) (float64, float64) { return s.LatLo, s.LatHi })
+	lngs := axis(-172, -63, func(s State) (float64, float64) { return s.LngLo, s.LngHi })
+	lats = append(lats, -90, 0, 90, math.NaN())
+	checked, inside := 0, 0
+	for _, lat := range lats {
+		for _, lng := range lngs {
+			p := geo.LatLng{Lat: lat, Lng: lng}
+			got, gotOK := StateAt(p)
+			want, wantOK := stateAtLinear(p)
+			if got != want || gotOK != wantOK {
+				t.Fatalf("StateAt(%v) = %v/%v, linear scan %v/%v", p, got.Abbr, gotOK, want.Abbr, wantOK)
+			}
+			checked++
+			if gotOK {
+				inside++
+			}
+		}
+	}
+	if inside == 0 || inside == checked {
+		t.Fatalf("lattice of %d points has %d inside a frame; want both cases", checked, inside)
+	}
+}
+
 func TestCountiesTiling(t *testing.T) {
 	for _, abbr := range []string{"TX", "RI", "WV", "AK", "DE"} {
 		s, err := ByAbbr(abbr)
