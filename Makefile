@@ -120,6 +120,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCellsInBox$$' -fuzztime $(FUZZ_TIME) ./internal/hexgrid
 	$(GO) test -run '^$$' -fuzz '^FuzzRegionSpec$$' -fuzztime $(FUZZ_TIME) ./internal/region
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioRequest$$' -fuzztime $(FUZZ_TIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzScenarioHandler$$' -fuzztime $(FUZZ_TIME) ./internal/serve
 
 # Coverage with a checked-in floor (COVERAGE_FLOOR, percent). The floor
 # sits ~1pt under the measured total because worker-occupancy branches

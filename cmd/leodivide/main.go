@@ -445,10 +445,12 @@ func runSimCheck(ctx context.Context, w io.Writer, ds *leodivide.Dataset, worker
 	defer span.End()
 	cfg := sim.DefaultConfig()
 	cfg.Parallelism = workers
-	res, err := sim.Run(ctx, cfg, ds.Cells)
+	// One free pass gives the summary, the latitude bands and the time series.
+	series, err := sim.RunSeries(ctx, cfg, ds.Cells)
 	if err != nil {
 		return err
 	}
+	res := series.Summary()
 	bent := cfg
 	bent.RequireGatewayVisibility = true
 	for _, gw := range usgeo.GatewaySites() {
@@ -475,19 +477,10 @@ func runSimCheck(ctx context.Context, w io.Writer, ds *leodivide.Dataset, worker
 		return err
 	}
 
-	// Dynamics over half an orbit: utilization and handover churn.
-	series, err := sim.RunSeries(ctx, cfg, ds.Cells)
-	if err != nil {
-		return err
-	}
 	// Coverage by latitude: the inclined shell's Alaska cliff.
-	bands, err := sim.CoverageByLatitude(ctx, cfg, ds.Cells, 10)
-	if err != nil {
-		return err
-	}
 	bt := report.NewTable("Coverage by latitude band (first epoch)",
 		"band", "cells", "covered fraction")
-	for _, b := range bands {
+	for _, b := range series.Bands {
 		bt.AddRow(fmt.Sprintf("%g-%gN", b.LatLoDeg, b.LatHiDeg), b.Cells,
 			fmt.Sprintf("%.3f", b.CoveredFraction))
 	}
@@ -495,9 +488,10 @@ func runSimCheck(ctx context.Context, w io.Writer, ds *leodivide.Dataset, worker
 		return err
 	}
 
+	// Dynamics over half an orbit: utilization and handover churn.
 	st := report.NewTable("Simulator time series (beam utilization and handovers)",
 		"t (s)", "covered", "served", "beam utilization", "handovers")
-	for _, e := range series {
+	for _, e := range series.Epochs {
 		st.AddRow(int(e.TimeSec), fmt.Sprintf("%.3f", e.CoveredFraction),
 			fmt.Sprintf("%.3f", e.ServedFraction),
 			fmt.Sprintf("%.3f", e.BeamUtilization), e.Handovers)

@@ -75,17 +75,27 @@ func TestFig3Command(t *testing.T) {
 	}
 }
 
-// TestSimCheckHonorsParallelism requires simcheck's stdout to be
-// identical at -parallelism 1 and 0, every worker pool of the serial
-// run, the simulator's included, to run on one worker, and every sweep
-// to nest under a span (generation's or simcheck's) rather than
-// surface as a root.
+// simcheckGolden is the pinned stdout of
+// `leodivide -scale 0.05 -seed 1 simcheck`.
+const simcheckGolden = "testdata/simcheck_scale005_seed1.txt"
+
+// TestSimCheckHonorsParallelism requires simcheck's stdout at
+// -parallelism 1 and 0 to equal the pinned output, every worker pool of
+// the serial run, the simulator's included, to run on one worker, and
+// every sweep to nest under a span (generation's or simcheck's) rather
+// than surface as a root. simcheck makes one free and one bent-pipe
+// pass of 16 epochs, each epoch one propagation and one visibility
+// sweep: 64 sweeps directly under its span.
 func TestSimCheckHonorsParallelism(t *testing.T) {
+	want, err := os.ReadFile(simcheckGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rc := &obs.RecordingCollector{}
 	restore := obs.SetCollector(rc)
-	serial := runCmd(t, "-parallelism", "1", "simcheck")
+	serial := runCmd(t, "-seed", "1", "-parallelism", "1", "simcheck")
 	restore()
-	sweeps := 0
+	sweeps, simSweeps := 0, 0
 	for _, s := range rc.Spans() {
 		if s.Name != "par.sweep" {
 			continue
@@ -93,6 +103,9 @@ func TestSimCheckHonorsParallelism(t *testing.T) {
 		sweeps++
 		if s.Parent == nil {
 			t.Fatalf("par.sweep %v is a root span", s.Attrs)
+		}
+		if s.Parent.Name == "simcheck" {
+			simSweeps++
 		}
 		for _, a := range s.Attrs {
 			if a.Key == "workers" && a.Value != "1" {
@@ -103,8 +116,14 @@ func TestSimCheckHonorsParallelism(t *testing.T) {
 	if sweeps == 0 {
 		t.Fatal("no par.sweep spans recorded")
 	}
-	if pooled := runCmd(t, "-parallelism", "0", "simcheck"); pooled != serial {
-		t.Errorf("simcheck stdout differs between -parallelism 1 and 0:\n%s\nvs\n%s", serial, pooled)
+	if simSweeps != 64 {
+		t.Errorf("simcheck ran %d sweeps, want 64 (two 16-epoch passes)", simSweeps)
+	}
+	if serial != string(want) {
+		t.Errorf("simcheck stdout at -parallelism 1 differs from %s:\n%s", simcheckGolden, serial)
+	}
+	if pooled := runCmd(t, "-seed", "1", "-parallelism", "0", "simcheck"); pooled != string(want) {
+		t.Errorf("simcheck stdout at -parallelism 0 differs from %s:\n%s", simcheckGolden, pooled)
 	}
 }
 

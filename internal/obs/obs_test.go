@@ -122,6 +122,30 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileSingleSample: one observation is every quantile
+// of itself, wherever it falls among the buckets.
+func TestHistogramQuantileSingleSample(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		v    float64
+	}{
+		{"first bucket", 0.3},
+		{"inner bucket", 1.7},
+		{"on a bound", 3},
+		{"overflow", 9.5},
+	} {
+		r := NewRegistry()
+		h := r.Histogram("q", []float64{1, 2, 3, 4})
+		h.Observe(tc.v)
+		s := r.Snapshot().Histograms["q"]
+		for _, q := range []float64{0, 0.5, 0.99, 1} {
+			if got := s.Quantile(q); got != tc.v {
+				t.Errorf("%s: p%g of the single sample %g = %g", tc.name, 100*q, tc.v, got)
+			}
+		}
+	}
+}
+
 // TestRegistryGetOrCreate: repeated lookups return the same pointer, so
 // instrument caching in package vars is sound.
 func TestRegistryGetOrCreate(t *testing.T) {

@@ -36,10 +36,14 @@ func (h HistogramSnapshot) Mean() float64 {
 
 // Quantile estimates the q-quantile (q in [0,1]) by linear
 // interpolation within the bucket that contains it. Observations in
-// the overflow bucket are approximated by Max.
+// the overflow bucket are approximated by Max. A single observation is
+// its own every quantile, so it is returned exactly (as Max).
 func (h HistogramSnapshot) Quantile(q float64) float64 {
 	if h.Count == 0 {
 		return 0
+	}
+	if h.Count == 1 {
+		return h.Max
 	}
 	if q < 0 {
 		q = 0

@@ -22,7 +22,7 @@
 //     before the process exits.
 //
 // Wire contract (schema leodivide-serve/v3; a body declaring any other
-// schema, older ones included, is a 400):
+// schema, older ones included, is a 400, and one over 64 KiB is a 413):
 //
 //	POST /v1/scenario       {"schema":"leodivide-serve/v3","experiment":"xconst","region":"brazil-rural",...}
 //	GET  /v1/experiments
@@ -41,6 +41,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -99,6 +100,14 @@ type Config struct {
 
 // DefaultCacheBytes is the cache byte bound when Config.CacheBytes is 0.
 const DefaultCacheBytes int64 = 256 << 20
+
+// maxScenarioBody caps a POST /v1/scenario body (a request setting
+// every knob is under 1 KiB); readHeaderTimeout bounds a client's
+// request headers, so stalled connections cannot pile up.
+const (
+	maxScenarioBody   = 64 << 10
+	readHeaderTimeout = 10 * time.Second
+)
 
 // Server answers scenario queries against one shared immutable dataset.
 type Server struct {
@@ -189,7 +198,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // the listener closes immediately, in-flight requests get up to drain
 // to finish. A nil error means a clean start-to-drain lifecycle.
 func (s *Server) Run(ctx context.Context, ln net.Listener, drain time.Duration) error {
-	srv := &http.Server{Handler: s.mux}
+	srv := &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout}
 	shutdownErr := make(chan error, 1)
 	go func() {
 		<-ctx.Done()
@@ -202,15 +211,6 @@ func (s *Server) Run(ctx context.Context, ln net.Listener, drain time.Duration) 
 	}
 	return <-shutdownErr
 }
-
-// Request is the JSON body of POST /v1/scenario: the shared scenario
-// wire contract (leodivide.ScenarioRequest), so a body the CLI's
-// -scenario flag accepts replays byte-for-byte here. Dataset-identity
-// fields (seed, scale, calibrated) are pointers: absent means "inherit
-// the server's dataset"; present-but-different is a 409, because the
-// server answers against one immutable dataset. Parallelism is not a
-// request knob at all — results are identical at every worker count.
-type Request = leodivide.ScenarioRequest
 
 // Response is the JSON body of a successful scenario query. Key is the
 // scenario's canonical cache key; Result is the experiment's result
@@ -229,46 +229,64 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// httpError carries a status code through the resolve path.
+// httpError is a client-facing failure: a status code and a message.
 type httpError struct {
 	code int
 	msg  string
 }
 
-func (e *httpError) Error() string { return e.msg }
-
-// resolve merges a request into the server's base scenario. The HTTP
-// contract is versioned: unlike the CLI convenience form, a request
-// must declare the current schema, and any other declaration (older
-// schemas included) is a 400. The region selector is a knob, not a
+// resolve parses a scenario body with leodivide.ParseScenarioRequest,
+// the CLI's strict parser, merges it into the server's base scenario
+// and returns it with its canonical key. A body over maxScenarioBody is
+// a 413. The HTTP contract is versioned: unlike the CLI convenience
+// form, a request must declare the current schema, and any other
+// declaration (older schemas included) is a 400. The region selector is a knob, not a
 // dataset-identity conflict: the server generates sibling geographies
 // lazily at its own (seed, scale); only seed and scale mismatches 409.
 // The merge itself is ScenarioRequest.Apply, the same one the CLI's
 // -scenario flag uses.
-func (s *Server) resolve(req Request) (leodivide.ScenarioConfig, error) {
+func (s *Server) resolve(w http.ResponseWriter, r *http.Request) (leodivide.ScenarioConfig, string, *httpError) {
+	fail := func(code int, msg string) (leodivide.ScenarioConfig, string, *httpError) {
+		return leodivide.ScenarioConfig{}, "", &httpError{code, msg}
+	}
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxScenarioBody))
+	if errors.As(err, new(*http.MaxBytesError)) {
+		return fail(http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxScenarioBody))
+	}
+	if err != nil {
+		return fail(http.StatusBadRequest, "bad request body: "+err.Error())
+	}
+	req, err := leodivide.ParseScenarioRequest(data)
+	if err != nil {
+		return fail(http.StatusBadRequest, "bad request body: "+err.Error())
+	}
 	if req.Schema != leodivide.ScenarioSchema {
-		return leodivide.ScenarioConfig{}, &httpError{http.StatusBadRequest,
-			fmt.Sprintf("unsupported schema %q (want %q)", req.Schema, leodivide.ScenarioSchema)}
+		return fail(http.StatusBadRequest,
+			fmt.Sprintf("unsupported schema %q (want %q)", req.Schema, leodivide.ScenarioSchema))
 	}
 	if req.Seed != nil && *req.Seed != s.base.Seed {
-		return leodivide.ScenarioConfig{}, &httpError{http.StatusConflict,
-			fmt.Sprintf("seed %d does not match the server dataset (%s)", *req.Seed, s.base.RunConfig)}
+		return fail(http.StatusConflict,
+			fmt.Sprintf("seed %d does not match the server dataset (%s)", *req.Seed, s.base.RunConfig))
 	}
 	//lint:ignore floatcmp dataset identity is exact, not arithmetic: a request either names the server's scale bit-for-bit or targets a different dataset
 	if req.Scale != nil && *req.Scale != s.base.Scale {
-		return leodivide.ScenarioConfig{}, &httpError{http.StatusConflict,
-			fmt.Sprintf("scale %v does not match the server dataset (%s)", *req.Scale, s.base.RunConfig)}
+		return fail(http.StatusConflict,
+			fmt.Sprintf("scale %v does not match the server dataset (%s)", *req.Scale, s.base.RunConfig))
 	}
 	// Apply validates the experiment only when one is named; a query
 	// without one has nothing to run.
 	if req.Experiment == "" {
-		return leodivide.ScenarioConfig{}, &httpError{http.StatusBadRequest, "leodivide: scenario names no experiment"}
+		return fail(http.StatusBadRequest, "leodivide: scenario names no experiment")
 	}
 	c, err := req.Apply(s.base)
 	if err != nil {
-		return leodivide.ScenarioConfig{}, &httpError{http.StatusBadRequest, err.Error()}
+		return fail(http.StatusBadRequest, err.Error())
 	}
-	return c, nil
+	key, err := c.CanonicalKey()
+	if err != nil {
+		return fail(http.StatusBadRequest, err.Error())
+	}
+	return c, key, nil
 }
 
 func writeJSONError(w http.ResponseWriter, code int, msg string) {
@@ -286,29 +304,10 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer metricReqSecs.ObserveSince(start)
 
-	var req Request
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	cfg, key, herr := s.resolve(w, r)
+	if herr != nil {
 		s.errs.Add(1)
-		writeJSONError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	cfg, err := s.resolve(req)
-	if err != nil {
-		s.errs.Add(1)
-		var he *httpError
-		if errors.As(err, &he) {
-			writeJSONError(w, he.code, he.msg)
-		} else {
-			writeJSONError(w, http.StatusBadRequest, err.Error())
-		}
-		return
-	}
-	key, err := cfg.CanonicalKey()
-	if err != nil {
-		s.errs.Add(1)
-		writeJSONError(w, http.StatusBadRequest, err.Error())
+		writeJSONError(w, herr.code, herr.msg)
 		return
 	}
 

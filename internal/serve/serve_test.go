@@ -9,6 +9,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -30,7 +33,7 @@ var (
 
 // sharedDataset generates the scale-0.02 dataset once for the whole
 // package; the server treats it as immutable, so sharing is safe.
-func sharedDataset(t *testing.T) *leodivide.Dataset {
+func sharedDataset(t testing.TB) *leodivide.Dataset {
 	t.Helper()
 	testDatasetOnce.Do(func() {
 		cfg := leodivide.DefaultRunConfig()
@@ -43,7 +46,7 @@ func sharedDataset(t *testing.T) *leodivide.Dataset {
 	return testDataset
 }
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	base := leodivide.DefaultRunConfig()
 	base.Scale = testScale
@@ -236,10 +239,13 @@ func TestScenarioValidation(t *testing.T) {
 		{"negative oversub", scenarioBody("table2", `"max_oversub":-5`), http.StatusBadRequest},
 		{"share above 1", scenarioBody("fig4", `"afford_share":1.5`), http.StatusBadRequest},
 		{"descending spreads", scenarioBody("fig3", `"spreads":[10,2]`), http.StatusBadRequest},
-		{"unknown plan", scenarioBody("fig4", `"plans":["Dialup Deluxe"]`), http.StatusInternalServerError},
+		{"unknown plan", scenarioBody("fig4", `"plans":["Dialup Deluxe"]`), http.StatusBadRequest},
+		{"findings without Starlink", scenarioBody("findings", `"plans":["Xfinity 300"]`), http.StatusBadRequest},
 		{"seed mismatch", scenarioBody("table1", `"seed":99`), http.StatusConflict},
 		{"scale mismatch", scenarioBody("table1", `"scale":0.5`), http.StatusConflict},
 		{"not json", `table1 please`, http.StatusBadRequest},
+		{"trailing data", scenarioBody("table1", "") + ` {"junk":1}`, http.StatusBadRequest},
+		{"body over cap", scenarioBody("table1", `"plans":["`+strings.Repeat("x", maxScenarioBody)+`"]`), http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -584,4 +590,56 @@ func TestRunGracefulShutdown(t *testing.T) {
 	if _, err := http.Get(url + "/healthz"); err == nil {
 		t.Error("server still accepting connections after shutdown")
 	}
+}
+
+// FuzzScenarioHandler posts arbitrary bodies through the server's HTTP
+// handler: it must never panic, and every answer must be a JSON body
+// with a non-5xx status. A body the wire parser rejects is a 4xx; one
+// it accepts is answered, so no input may reach a server error. The
+// seeds are the wire parser's own corpus (FuzzScenarioRequest).
+func FuzzScenarioHandler(f *testing.F) {
+	seeds, err := filepath.Glob("../../testdata/fuzz/FuzzScenarioRequest/*")
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("no FuzzScenarioRequest seeds (%v)", err)
+	}
+	for _, path := range seeds {
+		f.Add(readFuzzSeed(f, path))
+	}
+	f.Add([]byte(scenarioBody("fig4", `"plans":["Starlink Residential"]`)))
+	s, _ := newTestServer(f, Config{})
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/scenario", bytes.NewReader(body)))
+		if rec.Code >= 500 {
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("Content-Type %q for body %q", ct, body)
+		}
+		if !json.Valid(rec.Body.Bytes()) {
+			t.Errorf("status %d body is not JSON: %q", rec.Code, rec.Body)
+		}
+	})
+}
+
+// readFuzzSeed decodes a one-value `go test fuzz v1` corpus file holding
+// a []byte literal.
+func readFuzzSeed(tb testing.TB, path string) []byte {
+	tb.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	header, value, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	lit, ok := strings.CutPrefix(value, "[]byte(")
+	lit, ok2 := strings.CutSuffix(lit, ")")
+	if header != "go test fuzz v1" || !ok || !ok2 {
+		tb.Fatalf("%s: not a one-value []byte fuzz corpus file", path)
+	}
+	v, err := strconv.Unquote(lit)
+	if err != nil {
+		tb.Fatalf("%s: %v", path, err)
+	}
+	return []byte(v)
 }

@@ -120,15 +120,20 @@ type Result struct {
 }
 
 // Run propagates the shell and evaluates coverage and beam allocation
-// over the demand cells at each epoch. It aggregates RunSeries.
+// over the demand cells at each epoch: RunSeries, summarised.
 func Run(ctx context.Context, cfg Config, cells []demand.Cell) (Result, error) {
 	series, err := RunSeries(ctx, cfg, cells)
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{Epochs: cfg.Epochs, MinCoveredFraction: 1, MinServedFraction: 1}
+	return series.Summary(), nil
+}
+
+// Summary aggregates the series' epochs into a Result.
+func (s Series) Summary() Result {
+	res := Result{Epochs: len(s.Epochs), MinCoveredFraction: 1, MinServedFraction: 1}
 	sumVisible, sumCovered, sumServed := 0.0, 0.0, 0.0
-	for _, e := range series {
+	for _, e := range s.Epochs {
 		sumCovered += e.CoveredFraction
 		sumServed += e.ServedFraction
 		sumVisible += e.MeanVisible
@@ -139,10 +144,10 @@ func Run(ctx context.Context, cfg Config, cells []demand.Cell) (Result, error) {
 			res.MinServedFraction = e.ServedFraction
 		}
 	}
-	res.MeanVisibleSats = sumVisible / float64(cfg.Epochs)
-	res.MeanCoveredFraction = sumCovered / float64(cfg.Epochs)
-	res.MeanServedFraction = sumServed / float64(cfg.Epochs)
-	return res, nil
+	res.MeanVisibleSats = sumVisible / float64(res.Epochs)
+	res.MeanCoveredFraction = sumCovered / float64(res.Epochs)
+	res.MeanServedFraction = sumServed / float64(res.Epochs)
+	return res
 }
 
 // satPos is one satellite's snapshot position.
@@ -260,6 +265,9 @@ func newRunner(cfg Config, cells []demand.Cell) (*runner, error) {
 	}
 	reachDeg := geo.Degrees(covAngle) + windowPadDeg
 	for i, c := range cells {
+		if !(math.Abs(c.Center.Lat) <= 90) {
+			return nil, fmt.Errorf("sim: cell %d latitude %v out of range", c.ID, c.Center.Lat)
+		}
 		r.cellVecs[i] = c.Center.Vector()
 		r.windows[i] = scanWindow(c.Center, reachDeg)
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
@@ -145,45 +146,34 @@ func TestValidation(t *testing.T) {
 	if _, err := Run(context.Background(), DefaultConfig(), nil); err == nil {
 		t.Error("no cells should fail")
 	}
+	for _, lat := range []float64{90.5, -91, math.NaN()} {
+		bad := []demand.Cell{{ID: 1, Locations: 10, Center: geo.LatLng{Lat: lat}}}
+		if _, err := Run(context.Background(), DefaultConfig(), bad); err == nil {
+			t.Errorf("cell latitude %v should fail", lat)
+		}
+	}
 }
 
-// TestDeterministicAcrossParallelism requires Run, RunSeries and
-// CoverageByLatitude to return identical results at every worker count,
-// free and bent-pipe.
+// TestDeterministicAcrossParallelism requires RunSeries to return an
+// identical Series at every worker count, free and bent-pipe.
 func TestDeterministicAcrossParallelism(t *testing.T) {
 	cells := smallUSCells(t)
 	base := DefaultConfig()
 	base.Epochs = 4
 	for _, cfg := range []Config{base, bentPipe(base)} {
-		var refRun Result
-		var refSeries []EpochStats
-		var refBands []LatitudeBand
+		var ref Series
 		for _, p := range []int{1, 2, 4} {
 			cfg.Parallelism = p
-			res, err := Run(context.Background(), cfg, cells)
-			if err != nil {
-				t.Fatal(err)
-			}
 			series, err := RunSeries(context.Background(), cfg, cells)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bands, err := CoverageByLatitude(context.Background(), cfg, cells, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
 			if p == 1 {
-				refRun, refSeries, refBands = res, series, bands
+				ref = series
 				continue
 			}
-			if !reflect.DeepEqual(res, refRun) {
-				t.Errorf("Run at parallelism %d: %+v, serial %+v", p, res, refRun)
-			}
-			if !reflect.DeepEqual(series, refSeries) {
-				t.Errorf("RunSeries at parallelism %d differs from serial", p)
-			}
-			if !reflect.DeepEqual(bands, refBands) {
-				t.Errorf("CoverageByLatitude at parallelism %d differs from serial", p)
+			if !reflect.DeepEqual(series, ref) {
+				t.Errorf("RunSeries at parallelism %d: %+v, serial %+v", p, series, ref)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"math"
 	"sort"
 
 	"leodivide/internal/demand"
@@ -27,19 +28,27 @@ type EpochStats struct {
 	Handovers int
 }
 
+// Series is one simulation pass: the per-epoch measurements and the
+// first epoch's coverage by latitude band.
+type Series struct {
+	Epochs []EpochStats
+	Bands  []LatitudeBand
+}
+
 // RunSeries runs the simulation and returns per-epoch measurements,
 // including beam utilization and satellite handover counts — the
-// dynamics a static sizing model cannot see.
-func RunSeries(ctx context.Context, cfg Config, cells []demand.Cell) ([]EpochStats, error) {
+// dynamics a static sizing model cannot see — plus the first epoch's
+// latitude bands, tallied from that epoch's visibility lists.
+func RunSeries(ctx context.Context, cfg Config, cells []demand.Cell) (Series, error) {
 	r, err := newRunner(cfg, cells)
 	if err != nil {
-		return nil, err
+		return Series{}, err
 	}
 	alloc := newAllocator(cfg, cells)
 	nsats := len(r.orbits)
 	totalSlots := float64(nsats) * float64(cfg.Beams.BeamsPerSatellite) * cfg.Spread
 
-	out := make([]EpochStats, 0, cfg.Epochs)
+	out := Series{Epochs: make([]EpochStats, 0, cfg.Epochs)}
 	prevServer := make([]int, len(cells))
 	for i := range prevServer {
 		prevServer[i] = -1
@@ -48,11 +57,14 @@ func RunSeries(ctx context.Context, cfg Config, cells []demand.Cell) ([]EpochSta
 		t := cfg.StepSeconds * float64(e)
 		snap, err := r.snapshot(ctx, t)
 		if err != nil {
-			return nil, err
+			return Series{}, err
 		}
 		visible, err := r.visibleSats(ctx, snap)
 		if err != nil {
-			return nil, err
+			return Series{}, err
+		}
+		if e == 0 {
+			out.Bands = latitudeBands(cells, visible)
 		}
 		assignment, used := alloc.assign(visible, nsats)
 
@@ -70,7 +82,7 @@ func RunSeries(ctx context.Context, cfg Config, cells []demand.Cell) ([]EpochSta
 			}
 		}
 		copy(prevServer, assignment)
-		out = append(out, EpochStats{
+		out.Epochs = append(out.Epochs, EpochStats{
 			TimeSec:         t,
 			CoveredFraction: float64(covered) / float64(len(cells)),
 			ServedFraction:  float64(served) / float64(len(cells)),
@@ -150,67 +162,44 @@ func (a allocator) assign(visible [][]int, nsats int) ([]int, float64) {
 	return assignment, consumed
 }
 
-// LatitudeBand is coverage measured within one latitude band.
+// LatitudeBand is first-epoch coverage within one 10° latitude band,
+// the view that shows an inclined shell's Alaska cliff. Cells count as
+// covered as in EpochStats.CoveredFraction (bent-pipe: linked only).
 type LatitudeBand struct {
 	LatLoDeg, LatHiDeg float64
 	Cells              int
 	CoveredFraction    float64
 }
 
-// CoverageByLatitude measures, at the first epoch, the fraction of
-// cells with at least one visible satellite per latitude band — the
-// view that makes the Alaska coverage cliff of an inclined shell
-// visible. It measures sky visibility, so bent-pipe gating does not
-// apply.
-func CoverageByLatitude(ctx context.Context, cfg Config, cells []demand.Cell, bandDeg float64) ([]LatitudeBand, error) {
-	r, err := newRunner(cfg, cells)
-	if err != nil {
-		return nil, err
-	}
-	r.gateways = nil
-	if bandDeg <= 0 {
-		bandDeg = 5
-	}
-	snap, err := r.snapshot(ctx, 0)
-	if err != nil {
-		return nil, err
-	}
-	visible, err := r.visibleSats(ctx, snap)
-	if err != nil {
-		return nil, err
-	}
+// Band k = floor(lat/bandDeg) holds [k·bandDeg, (k+1)·bandDeg); over
+// [-90°, 90°], k runs from -9 to 9 (90° itself opens band 9).
+const (
+	bandDeg   = 10
+	bandCount = 19
+)
 
-	type agg struct{ cells, covered int }
-	bands := make(map[int]*agg)
+// latitudeBands tallies the non-empty bands in ascending latitude.
+func latitudeBands(cells []demand.Cell, visible [][]int) []LatitudeBand {
+	var total, covered [bandCount]int
 	for i, c := range cells {
-		key := int(c.Center.Lat / bandDeg)
-		if c.Center.Lat < 0 {
-			key--
-		}
-		a := bands[key]
-		if a == nil {
-			a = &agg{}
-			bands[key] = a
-		}
-		a.cells++
+		k := int(math.Floor(c.Center.Lat/bandDeg)) + bandCount/2
+		total[k]++
 		if len(visible[i]) > 0 {
-			a.covered++
+			covered[k]++
 		}
 	}
-	keys := make([]int, 0, len(bands))
-	for k := range bands {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	out := make([]LatitudeBand, 0, len(keys))
-	for _, k := range keys {
-		a := bands[k]
+	var out []LatitudeBand
+	for k, n := range total {
+		if n == 0 {
+			continue
+		}
+		lo := float64(k-bandCount/2) * bandDeg
 		out = append(out, LatitudeBand{
-			LatLoDeg:        float64(k) * bandDeg,
-			LatHiDeg:        float64(k+1) * bandDeg,
-			Cells:           a.cells,
-			CoveredFraction: float64(a.covered) / float64(a.cells),
+			LatLoDeg:        lo,
+			LatHiDeg:        lo + bandDeg,
+			Cells:           n,
+			CoveredFraction: float64(covered[k]) / float64(n),
 		})
 	}
-	return out, nil
+	return out
 }

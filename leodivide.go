@@ -501,30 +501,36 @@ func planLabel(opt afford.PlanOption) string {
 
 // planOptions resolves the Fig4 comparison set: the paper's full
 // four-option comparison, narrowed by PlanFilter when set. Filtering by
-// label (not index) keeps the knob stable under catalog reordering; an
-// unknown label errors with the valid set so scenario authors get a
-// usable message instead of a silently empty figure.
+// label (not index) keeps the knob stable under catalog reordering.
 func (m Model) planOptions() ([]afford.PlanOption, error) {
-	all := afford.PaperComparison()
 	if len(m.PlanFilter) == 0 {
-		return all, nil
-	}
-	byLabel := make(map[string]afford.PlanOption, len(all))
-	labels := make([]string, 0, len(all))
-	for _, opt := range all {
-		byLabel[planLabel(opt)] = opt
-		labels = append(labels, planLabel(opt))
+		return afford.PaperComparison(), nil
 	}
 	out := make([]afford.PlanOption, 0, len(m.PlanFilter))
 	for _, name := range m.PlanFilter {
-		opt, ok := byLabel[name]
-		if !ok {
-			return nil, fmt.Errorf("leodivide: unknown plan %q (valid: %s)",
-				name, strings.Join(labels, ", "))
+		opt, err := planOption(name)
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, opt)
 	}
 	return out, nil
+}
+
+// planOption finds the paper-comparison option with the given label. An
+// unknown label errors with the valid set, so scenario authors get a
+// usable message instead of a silently empty figure.
+func planOption(label string) (afford.PlanOption, error) {
+	all := afford.PaperComparison()
+	labels := make([]string, len(all))
+	for i, opt := range all {
+		labels[i] = planLabel(opt)
+		if labels[i] == label {
+			return opt, nil
+		}
+	}
+	return afford.PlanOption{}, fmt.Errorf("leodivide: unknown plan %q (valid: %s)",
+		label, strings.Join(labels, ", "))
 }
 
 // AffordabilityInput exposes the location-weighted income distribution
@@ -584,6 +590,12 @@ type Findings struct {
 // size the paper cites.
 const CurrentStarlinkSatellites = 8000
 
+// errFindingsPlan rejects a PlanFilter that excludes the unsubsidized
+// Starlink plan: it leaves F4 undefined, so findings fails loudly
+// rather than report zeros. Scenario validation applies it up front.
+var errFindingsPlan = fmt.Errorf("leodivide: findings needs %q in the plan comparison (PlanFilter excludes it)",
+	afford.StarlinkResidential().Name)
+
 // RunFindings evaluates all four findings. Cancellation is observed at
 // entry and between the Fig4, sizing and Fig3 stages (the registry's
 // uniform contract).
@@ -601,10 +613,7 @@ func (m Model) RunFindings(ctx context.Context, d *Dataset) (Findings, error) {
 		}
 	}
 	if !found {
-		// A PlanFilter that excludes the unsubsidized Starlink plan
-		// leaves F4 undefined; fail loudly rather than report zeros.
-		return Findings{}, fmt.Errorf("leodivide: findings needs %q in the plan comparison (PlanFilter excludes it)",
-			afford.StarlinkResidential().Name)
+		return Findings{}, errFindingsPlan
 	}
 	if err := ctx.Err(); err != nil {
 		return Findings{}, err

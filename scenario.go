@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -142,6 +143,9 @@ func (c ScenarioConfig) Validate() error {
 	if _, ok := NewModel().ExperimentByName(c.Experiment); !ok {
 		return fmt.Errorf("leodivide: unknown experiment %q (see `leodivide experiments`)", c.Experiment)
 	}
+	if c.Experiment == "findings" && len(c.Plans) > 0 && !slices.Contains(c.Plans, afford.StarlinkResidential().Name) {
+		return errFindingsPlan
+	}
 	return c.validateBase()
 }
 
@@ -176,6 +180,9 @@ func (c ScenarioConfig) validateBase() error {
 			return fmt.Errorf("leodivide: duplicate plan label %q", p)
 		}
 		seen[p] = true
+		if _, err := planOption(p); err != nil {
+			return err
+		}
 	}
 	if _, ok := constellation.SystemByName(n.Constellation); !ok {
 		return fmt.Errorf("leodivide: unknown constellation %q (valid: %s)",

@@ -159,6 +159,8 @@ func TestScenarioValidate(t *testing.T) {
 		{"empty plan label", func(c *ScenarioConfig) { c.Plans = []string{""} }, "plan label"},
 		{"padded plan label", func(c *ScenarioConfig) { c.Plans = []string{" Xfinity 300"} }, "plan label"},
 		{"duplicate plan", func(c *ScenarioConfig) { c.Plans = []string{"Xfinity 300", "Xfinity 300"} }, "duplicate"},
+		{"unknown plan", func(c *ScenarioConfig) { c.Plans = []string{"Dialup Deluxe"} }, "valid: Xfinity 300"},
+		{"findings without Starlink", func(c *ScenarioConfig) { c.Experiment, c.Plans = "findings", []string{"Xfinity 300"} }, "PlanFilter"},
 		{"unknown region", func(c *ScenarioConfig) { c.Region = "atlantis" }, "unknown region"},
 	}
 	for _, tc := range cases {
