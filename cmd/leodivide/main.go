@@ -47,6 +47,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -97,23 +98,22 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
 
 	// The scenario is the one description of the run every command
 	// shares: the flags form the base, and -scenario (the HTTP wire
-	// contract) merges on top — pointer fields (seed, scale, calibrated)
-	// override the shorthand flags when present.
-	sc := leodivide.ScenarioConfig{RunConfig: cfg, Region: *regionKey}
+	// contract) replaces the shorthand request — its pointer fields
+	// (seed, scale, calibrated) override the flags when present. Apply
+	// validates the result, so a bad flag fails before any command runs.
+	req := leodivide.ScenarioRequest{Region: *regionKey}
 	if *scenarioJSON != "" {
-		req, err := leodivide.ParseScenarioRequest([]byte(*scenarioJSON))
-		if err != nil {
+		var err error
+		if req, err = leodivide.ParseScenarioRequest([]byte(*scenarioJSON)); err != nil {
 			return err
 		}
-		if sc, err = req.Apply(sc); err != nil {
-			return err
-		}
+	}
+	sc, err := req.Apply(leodivide.ScenarioConfig{RunConfig: cfg})
+	if err != nil {
+		return err
 	}
 	var cmd string
 	switch {
@@ -172,6 +172,13 @@ func run(args []string, w io.Writer) error {
 		return runServe(ctx, w, sc, fs.Args()[1:])
 	case "loadgen":
 		return runLoadgen(ctx, w, fs.Args()[1:])
+	// These read no dataset, so they run before generation.
+	case "stability":
+		return runStability(ctx, w, m)
+	case "linkbudget":
+		return runLinkBudget(w)
+	case "latency":
+		return runLatency(w)
 	}
 
 	ds, err := sc.Generate(ctx)
@@ -180,8 +187,6 @@ func run(args []string, w io.Writer) error {
 	}
 
 	switch cmd {
-	case "stability":
-		return runStability(ctx, w, m)
 	case "export":
 		return runExport(ctx, w, m, ds, *exportDir)
 	case "gen":
@@ -450,39 +455,54 @@ func runSimCheck(ctx context.Context, w io.Writer, ds *leodivide.Dataset, worker
 	if err != nil {
 		return err
 	}
-	res := series.Summary()
-	bent := cfg
-	bent.RequireGatewayVisibility = true
-	for _, gw := range usgeo.GatewaySites() {
-		bent.Gateways = append(bent.Gateways, gw.Pos)
+	// Bent-pipe routing needs gateway sites, and only the US map has
+	// them; elsewhere every bent-pipe figure would read zero.
+	runs := []sim.Result{series.Summary()}
+	header := []string{"metric", "free routing"}
+	if ds.Region == region.DefaultKey {
+		bent := cfg
+		bent.RequireGatewayVisibility = true
+		for _, gw := range usgeo.GatewaySites() {
+			bent.Gateways = append(bent.Gateways, gw.Pos)
+		}
+		resBent, err := sim.Run(ctx, bent, ds.Cells)
+		if err != nil {
+			return err
+		}
+		runs = append(runs, resBent)
+		header = append(header, fmt.Sprintf("bent-pipe (%d gateways)", len(bent.Gateways)))
 	}
-	resBent, err := sim.Run(ctx, bent, ds.Cells)
-	if err != nil {
-		return err
+	t := report.NewTable("Simulator cross-check — Walker 53°/550 km shell over demand cells", header...)
+	row := func(metric, format string, field func(sim.Result) any) {
+		cells := []any{metric}
+		for _, r := range runs {
+			cells = append(cells, fmt.Sprintf(format, field(r)))
+		}
+		t.AddRow(cells...)
 	}
-	t := report.NewTable("Simulator cross-check — Walker 53°/550 km shell over demand cells",
-		"metric", "free routing", "bent-pipe (36 gateways)")
-	t.AddRow("epochs", res.Epochs, resBent.Epochs)
-	t.AddRow("mean visible satellites per cell",
-		fmt.Sprintf("%.1f", res.MeanVisibleSats), fmt.Sprintf("%.1f", resBent.MeanVisibleSats))
-	t.AddRow("mean covered fraction",
-		fmt.Sprintf("%.4f", res.MeanCoveredFraction), fmt.Sprintf("%.4f", resBent.MeanCoveredFraction))
-	t.AddRow("min covered fraction",
-		fmt.Sprintf("%.4f", res.MinCoveredFraction), fmt.Sprintf("%.4f", resBent.MinCoveredFraction))
-	t.AddRow("mean served fraction",
-		fmt.Sprintf("%.4f", res.MeanServedFraction), fmt.Sprintf("%.4f", resBent.MeanServedFraction))
-	t.AddRow("min served fraction",
-		fmt.Sprintf("%.4f", res.MinServedFraction), fmt.Sprintf("%.4f", resBent.MinServedFraction))
+	row("epochs", "%d", func(r sim.Result) any { return r.Epochs })
+	row("mean visible satellites per cell", "%.1f", func(r sim.Result) any { return r.MeanVisibleSats })
+	row("mean covered fraction", "%.4f", func(r sim.Result) any { return r.MeanCoveredFraction })
+	row("min covered fraction", "%.4f", func(r sim.Result) any { return r.MinCoveredFraction })
+	row("mean served fraction", "%.4f", func(r sim.Result) any { return r.MeanServedFraction })
+	row("min served fraction", "%.4f", func(r sim.Result) any { return r.MinServedFraction })
 	if _, err := t.WriteTo(w); err != nil {
 		return err
 	}
+	if len(runs) == 1 {
+		fmt.Fprintf(w, "no bent-pipe column: it needs gateway sites, which only region %q has\n", region.DefaultKey)
+	}
 
-	// Coverage by latitude: the inclined shell's Alaska cliff.
+	// Coverage by latitude: the inclined shell's Alaska cliff. Bands
+	// are labelled equator-outward: [-30, -20) reads 20-30S.
 	bt := report.NewTable("Coverage by latitude band (first epoch)",
 		"band", "cells", "covered fraction")
 	for _, b := range series.Bands {
-		bt.AddRow(fmt.Sprintf("%g-%gN", b.LatLoDeg, b.LatHiDeg), b.Cells,
-			fmt.Sprintf("%.3f", b.CoveredFraction))
+		label := fmt.Sprintf("%g-%gN", b.LatLoDeg, b.LatHiDeg)
+		if b.LatHiDeg <= 0 {
+			label = fmt.Sprintf("%g-%gS", math.Abs(b.LatHiDeg), math.Abs(b.LatLoDeg))
+		}
+		bt.AddRow(label, b.Cells, fmt.Sprintf("%.3f", b.CoveredFraction))
 	}
 	if _, err := bt.WriteTo(w); err != nil {
 		return err

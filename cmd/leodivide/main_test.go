@@ -127,6 +127,80 @@ func TestSimCheckHonorsParallelism(t *testing.T) {
 	}
 }
 
+// TestSimCheckOtherRegion: outside the US there are no gateway sites,
+// so simcheck prints only the free-routing column, says why, and labels
+// the southern latitude bands equator-outward.
+func TestSimCheckOtherRegion(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run([]string{"-scale", "0.02", "-region", "brazil-rural", "simcheck"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if strings.Contains(out, "bent-pipe (36 gateways)") {
+		t.Errorf("brazil-rural simcheck prints a bent-pipe column:\n%s", out)
+	}
+	for _, want := range []string{"free routing", "only region \"us\"", "10-20S", "0-10S"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("brazil-rural simcheck output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestDatasetFreeCommandsSkipGeneration: linkbudget and latency read
+// no dataset, so -trace shows no generate_dataset span.
+func TestDatasetFreeCommandsSkipGeneration(t *testing.T) {
+	for _, cmd := range []string{"linkbudget", "latency"} {
+		stderr := captureStderr(t, func() {
+			runCmd(t, "-trace", cmd)
+		})
+		if !strings.Contains(stderr, "--- trace ---") {
+			t.Fatalf("%s -trace printed no trace:\n%s", cmd, stderr)
+		}
+		if strings.Contains(stderr, "generate_dataset") {
+			t.Errorf("%s generated a dataset:\n%s", cmd, stderr)
+		}
+	}
+}
+
+// TestUnknownRegionFailsBeforeGeneration: a bad -region fails a
+// dataset-free command too, naming the valid regions, and fails before
+// generation starts.
+func TestUnknownRegionFailsBeforeGeneration(t *testing.T) {
+	rc := &obs.RecordingCollector{}
+	restore := obs.SetCollector(rc)
+	var buf bytes.Buffer
+	err := run([]string{"-region", "nope", "linkbudget"}, &buf)
+	restore()
+	if err == nil || !strings.Contains(err.Error(), "us, brazil-rural, taipei-dense") {
+		t.Errorf("-region nope linkbudget: got %v, want an error naming the valid regions", err)
+	}
+	for _, s := range rc.Spans() {
+		if s.Name == "generate_dataset" {
+			t.Error("-region nope linkbudget started dataset generation")
+		}
+	}
+}
+
+// captureStderr runs fn with os.Stderr redirected to a file and returns
+// what fn wrote there.
+func captureStderr(t *testing.T, fn func()) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stderr
+	os.Stderr = f
+	defer func() { os.Stderr = saved }()
+	fn()
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
 func TestStatesRejectsOtherRegions(t *testing.T) {
 	var buf bytes.Buffer
 	err := run([]string{"-scale", "0.05", "-region", "brazil-rural", "states"}, &buf)

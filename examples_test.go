@@ -1,9 +1,9 @@
 package leodivide
 
-// Bitrot guard for the examples/ programs. Each example is its own
-// main package outside the module's test graph, so ordinary `go test`
-// never compiles them; this test vets and runs every one so an API
-// change that breaks an example fails CI instead of rotting silently.
+// Bitrot guard for the examples/ programs. Each example is a main
+// package of this module, so `go build ./...` and `go vet ./...`
+// already compile it; this test also vets and runs every one, so an
+// example that compiles but fails or prints nothing fails `go test`.
 
 import (
 	"os"

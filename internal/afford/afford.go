@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"leodivide/internal/census"
 	"leodivide/internal/par"
@@ -82,12 +81,6 @@ func IncomeThresholdUSD(p Plan, s *Subsidy, share float64) float64 {
 		return math.Inf(1)
 	}
 	return 12 * EffectiveMonthlyUSD(p, s) / share
-}
-
-// Affordable reports whether the plan is affordable at the given annual
-// income under the share threshold.
-func Affordable(p Plan, s *Subsidy, annualIncomeUSD, share float64) bool {
-	return annualIncomeUSD >= IncomeThresholdUSD(p, s, share)
 }
 
 // Input is the location-weighted income distribution the evaluation
@@ -186,20 +179,6 @@ func (in *Input) ZeroShare(p Plan, s *Subsidy) float64 {
 		return math.Inf(1)
 	}
 	return 12 * price / minIncome
-}
-
-// Comparison evaluates several plan/subsidy pairs at once and returns
-// results sorted by effective price.
-func (in *Input) Comparison(pairs []PlanOption, share float64) []Result {
-	out := make([]Result, 0, len(pairs))
-	for _, pr := range pairs {
-		out = append(out, in.Evaluate(pr.Plan, pr.Subsidy, share))
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return EffectiveMonthlyUSD(out[i].Plan, out[i].Subsidy) <
-			EffectiveMonthlyUSD(out[j].Plan, out[j].Subsidy)
-	})
-	return out
 }
 
 // PlanOption pairs a plan with an optional subsidy.

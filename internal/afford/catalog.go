@@ -60,18 +60,6 @@ func Catalog() []CatalogPlan {
 	}
 }
 
-// QualifyingCatalog filters the catalog to plans that meet the
-// benchmark — the only plans that can close the paper's coverage gap.
-func QualifyingCatalog() []CatalogPlan {
-	var out []CatalogPlan
-	for _, p := range Catalog() {
-		if p.MeetsBenchmark() {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // CatalogComparison evaluates every catalog plan against the income
 // distribution, marking qualification.
 type CatalogResult struct {

@@ -47,12 +47,6 @@ func FederalPovertyLevelUSD(householdSize int) float64 {
 	return FederalPovertyLevelBaseUSD + FederalPovertyLevelPerPersonUSD*float64(householdSize)
 }
 
-// LifelineEligible reports whether a household qualifies for Lifeline on
-// the income test.
-func LifelineEligible(annualIncomeUSD float64, householdSize int) bool {
-	return annualIncomeUSD <= LifelineEligibilityFPLMultiple*FederalPovertyLevelUSD(householdSize)
-}
-
 // QuantileAnchor pins the location-weighted income quantile function at
 // one point.
 type QuantileAnchor struct {
@@ -209,34 +203,6 @@ func AssignIncomes(weights []CountyWeight, anchors []QuantileAnchor) (*Table, er
 		})
 	}
 	return NewTable(records), nil
-}
-
-// WeightedFractionBelow returns the location-weight fraction of counties
-// with median income strictly below the threshold.
-func (t *Table) WeightedFractionBelow(incomeUSD float64) float64 {
-	total, below := 0.0, 0.0
-	for _, r := range t.ordered {
-		total += r.Weight
-		if r.MedianHouseholdIncomeUSD < incomeUSD {
-			below += r.Weight
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return below / total
-}
-
-// WeightedCountBelow returns the total location weight in counties with
-// median income strictly below the threshold.
-func (t *Table) WeightedCountBelow(incomeUSD float64) float64 {
-	below := 0.0
-	for _, r := range t.ordered {
-		if r.MedianHouseholdIncomeUSD < incomeUSD {
-			below += r.Weight
-		}
-	}
-	return below
 }
 
 // csvHeader is the ACS-style county income schema.

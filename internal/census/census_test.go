@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"leodivide/internal/stats"
 )
 
 func TestPovertyLevel(t *testing.T) {
@@ -22,14 +24,8 @@ func TestPovertyLevel(t *testing.T) {
 
 func TestLifelineEligible(t *testing.T) {
 	// 135% of FPL for a 4-person household: 1.35 × 31,900 = 43,065.
-	if !LifelineEligible(43065, 4) {
-		t.Error("income at exactly 135% FPL should qualify")
-	}
-	if LifelineEligible(43066, 4) {
-		t.Error("income above 135% FPL should not qualify")
-	}
-	if !LifelineEligible(10000, 1) {
-		t.Error("deep-poverty income should qualify")
+	if got := LifelineEligibilityFPLMultiple * FederalPovertyLevelUSD(4); got != 43065 {
+		t.Errorf("Lifeline income ceiling for 4 = %v, want 43065", got)
 	}
 }
 
@@ -150,21 +146,22 @@ func TestAssignIncomesCalibration(t *testing.T) {
 		{72000, 0.745, 0.01},
 		{30000, 0.0001, 0.002},
 	}
+	// Measure the way afford.Input.Evaluate does: the location weight
+	// strictly below the threshold.
+	samples := make([]stats.WeightedSample, 0, len(weights))
+	for _, c := range table.Counties() {
+		samples = append(samples, stats.WeightedSample{Value: c.MedianHouseholdIncomeUSD, Weight: c.Weight})
+	}
+	cdf, err := stats.NewWeightedCDF(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range cases {
-		got := table.WeightedFractionBelow(tc.threshold)
+		got := cdf.WeightLE(tc.threshold-1e-9) / cdf.TotalWeight()
 		if math.Abs(got-tc.wantFrac) > tc.tol {
 			t.Errorf("fraction below $%.0f = %.4f, want %.4f±%.3f",
 				tc.threshold, got, tc.wantFrac, tc.tol)
 		}
-	}
-	// Counts and fractions agree.
-	total := 0.0
-	for _, w := range weights {
-		total += w.Weight
-	}
-	below := table.WeightedCountBelow(72000)
-	if math.Abs(below/total-table.WeightedFractionBelow(72000)) > 1e-9 {
-		t.Error("WeightedCountBelow inconsistent with WeightedFractionBelow")
 	}
 }
 

@@ -13,7 +13,6 @@ package constellation
 
 import (
 	"fmt"
-	"sort"
 
 	"leodivide/internal/geo"
 	"leodivide/internal/orbit"
@@ -121,30 +120,6 @@ func (f Fleet) EquivalentSingleShellSatellites(ref orbit.Walker, latDeg float64)
 	return int(f.DensityPerKm2(latDeg) / refDensityPerSat)
 }
 
-// DensityProfile samples the fleet's density enhancement relative to a
-// uniform distribution of TotalSatellites, from the equator to maxLat,
-// in stepDeg increments. Used for plotting and tests.
-func (f Fleet) DensityProfile(maxLat, stepDeg float64) []ProfilePoint {
-	if stepDeg <= 0 {
-		stepDeg = 5
-	}
-	uniform := float64(f.TotalSatellites()) / geo.EarthAreaKm2
-	var out []ProfilePoint
-	for lat := 0.0; lat <= maxLat; lat += stepDeg {
-		out = append(out, ProfilePoint{
-			LatDeg:      lat,
-			Enhancement: f.DensityPerKm2(lat) / uniform,
-		})
-	}
-	return out
-}
-
-// ProfilePoint is one sample of a density profile.
-type ProfilePoint struct {
-	LatDeg      float64
-	Enhancement float64
-}
-
 // Orbits expands every shell into per-satellite orbits.
 func (f Fleet) Orbits() ([]orbit.CircularOrbit, error) {
 	if err := f.Validate(); err != nil {
@@ -159,23 +134,4 @@ func (f Fleet) Orbits() ([]orbit.CircularOrbit, error) {
 		out = append(out, orbits...)
 	}
 	return out, nil
-}
-
-// ShellsByDensityAt returns the fleet's shells ordered by their density
-// contribution at a latitude, densest first — useful for reporting
-// which shells actually matter for a given service region.
-func (f Fleet) ShellsByDensityAt(latDeg float64) []orbit.Walker {
-	shells := make([]orbit.Walker, len(f.Shells))
-	copy(shells, f.Shells)
-	sort.SliceStable(shells, func(i, j int) bool {
-		di, dj := 0.0, 0.0
-		if shellCovers(shells[i], latDeg) {
-			di = float64(shells[i].Total) * shells[i].DensityFactor(latDeg)
-		}
-		if shellCovers(shells[j], latDeg) {
-			dj = float64(shells[j].Total) * shells[j].DensityFactor(latDeg)
-		}
-		return di > dj
-	})
-	return shells
 }

@@ -92,17 +92,14 @@ func TestEquivalentSingleShell(t *testing.T) {
 }
 
 func TestDensityProfile(t *testing.T) {
-	profile := StarlinkGen1().DensityProfile(60, 10)
-	if len(profile) != 7 {
-		t.Fatalf("profile has %d points", len(profile))
-	}
-	for _, p := range profile {
-		if p.Enhancement < 0 {
-			t.Errorf("negative enhancement at %v", p.LatDeg)
+	gen1 := StarlinkGen1()
+	for lat := 0.0; lat <= 60; lat += 10 {
+		if d := gen1.DensityPerKm2(lat); d < 0 {
+			t.Errorf("negative density %v at %v", d, lat)
 		}
 	}
 	// Mid-latitudes denser than the equator for the 53-dominated Gen1.
-	if profile[4].Enhancement <= profile[0].Enhancement {
+	if gen1.DensityPerKm2(40) <= gen1.DensityPerKm2(0) {
 		t.Error("Gen1 should be denser at 40N than at the equator")
 	}
 }
@@ -114,20 +111,6 @@ func TestOrbitsExpansion(t *testing.T) {
 	}
 	if len(orbits) != 4408 {
 		t.Errorf("expanded %d orbits, want 4408", len(orbits))
-	}
-}
-
-func TestShellsByDensityAt(t *testing.T) {
-	gen2 := StarlinkGen2()
-	order := gen2.ShellsByDensityAt(50)
-	// At 50°N the 53° shells must dominate; the 33° shell contributes
-	// nothing and must sort last among covered shells.
-	if order[0].InclinationDeg != 53 && order[0].InclinationDeg != 96.9 {
-		t.Errorf("densest shell at 50N has inclination %v", order[0].InclinationDeg)
-	}
-	last := order[len(order)-1]
-	if shellCovers(last, 50) && last.InclinationDeg > 50 {
-		t.Errorf("unexpected last shell %+v", last)
 	}
 }
 

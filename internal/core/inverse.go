@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"leodivide/internal/demand"
-)
+import "leodivide/internal/demand"
 
 // The inverse question of Table 2: given a constellation of N
 // satellites (e.g. today's ~8,000), what beamspread factor must the
@@ -55,25 +51,4 @@ func (m Model) InverseSize(d *demand.Distribution, satellites int, maxOversub fl
 		MaxServableLocations: maxLoc,
 		ServedCellFraction:   d.FractionOfCellsAtMost(maxLoc),
 	}
-}
-
-// SpreadForFraction returns the largest beamspread at which at least
-// the target fraction of demand cells remains single-beam servable at
-// the oversubscription cap, and the constellation size that spread
-// requires. It answers "how small could the fleet get while serving
-// fraction f of cells properly?".
-func (m Model) SpreadForFraction(d *demand.Distribution, targetFraction, maxOversub float64) (spread float64, satellites int) {
-	lo, hi := 1.0, 64.0
-	for i := 0; i < 40; i++ {
-		mid := (lo + hi) / 2
-		maxLoc := m.Beams.MaxLocationsUnderSpread(maxOversub, mid)
-		if d.FractionOfCellsAtMost(maxLoc) >= targetFraction {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	spread = math.Floor(lo*100) / 100
-	capped := m.Size(d, CappedOversub, spread, maxOversub)
-	return spread, capped.Satellites
 }

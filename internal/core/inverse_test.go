@@ -61,75 +61,6 @@ func TestInverseSizeMonotone(t *testing.T) {
 	}
 }
 
-func TestSpreadForFraction(t *testing.T) {
-	m := NewModel()
-	d := paperDist(t)
-	// paperDist's cells run 10..2000 locations, so single-beam service
-	// at spread 1 reaches ~41% of cells; test feasible targets below
-	// that.
-	spreadHigh, satsHigh := m.SpreadForFraction(d, 0.35, 20)
-	spreadLow, satsLow := m.SpreadForFraction(d, 0.15, 20)
-	if spreadHigh >= spreadLow {
-		t.Errorf("higher target should force lower spread: %v vs %v", spreadHigh, spreadLow)
-	}
-	if satsHigh <= satsLow {
-		t.Errorf("higher target should cost more satellites: %d vs %d", satsHigh, satsLow)
-	}
-	// The target is actually met at the returned spread.
-	maxLoc := m.Beams.MaxLocationsUnderSpread(20, spreadHigh)
-	if d.FractionOfCellsAtMost(maxLoc) < 0.35 {
-		t.Errorf("returned spread misses the 35%% target")
-	}
-	// An infeasible target clamps to spread 1.
-	if s, _ := m.SpreadForFraction(d, 0.99, 20); s != 1 {
-		t.Errorf("infeasible target spread = %v, want 1", s)
-	}
-}
-
-func TestResolutionSensitivity(t *testing.T) {
-	m := NewModel()
-	// Build cells at resolution 5 from scattered points.
-	var cells []demand.Cell
-	for i := 0; i < 200; i++ {
-		lat := 30 + float64(i%17)
-		lng := -120 + float64(i%40)*1.3
-		id := hexgrid.LatLngToCell(geo.LatLng{Lat: lat, Lng: lng}, 5)
-		cells = append(cells, demand.Cell{ID: id, Locations: 50 + i*13%900, Center: id.LatLng()})
-	}
-	points, err := m.ResolutionSensitivity(cells, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 3 {
-		t.Fatalf("got %d points", len(points))
-	}
-	base := points[0]
-	if base.Resolution != 5 {
-		t.Errorf("base resolution = %d", base.Resolution)
-	}
-	for i := 1; i < len(points); i++ {
-		p := points[i]
-		// Coarser cells: fewer of them, bigger peaks, higher required
-		// oversubscription (per-cell capacity does not grow with area).
-		if p.Cells > points[i-1].Cells {
-			t.Errorf("res %d: cell count grew when coarsening", p.Resolution)
-		}
-		if p.PeakLocations < points[i-1].PeakLocations {
-			t.Errorf("res %d: peak shrank when coarsening", p.Resolution)
-		}
-		if p.RequiredOversub < points[i-1].RequiredOversub {
-			t.Errorf("res %d: oversubscription shrank when coarsening", p.Resolution)
-		}
-	}
-	// Errors.
-	if _, err := m.ResolutionSensitivity(cells, 6); err == nil {
-		t.Error("finer resolution should fail")
-	}
-	if _, err := m.ResolutionSensitivity(nil, 4); err == nil {
-		t.Error("no cells should fail")
-	}
-}
-
 func TestExperienceUnderSpread(t *testing.T) {
 	m := NewModel()
 	d := paperDist(t)

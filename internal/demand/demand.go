@@ -206,8 +206,8 @@ func (d *Distribution) Quantile(q float64) int { return int(d.cdf.Quantile(q)) }
 
 // CellsAbove returns the number of cells with more than t locations.
 func (d *Distribution) CellsAbove(t int) int {
-	// Integer binary search on the descending locs column; identical to
-	// the former cdf.CountGT(float64(t)) because location counts are
+	// Integer binary search on the descending locs column; it agrees
+	// with counting cdf samples > float64(t) because location counts are
 	// integers far below 2^53 and convert to float64 exactly.
 	return sort.Search(len(d.locs), func(i int) bool { return int(d.locs[i]) <= t })
 }
@@ -243,8 +243,9 @@ func (d *Distribution) ServedFractionWithCap(t int) float64 {
 // FractionOfCellsAtMost returns the fraction of demand cells with at
 // most t locations.
 func (d *Distribution) FractionOfCellsAtMost(t int) float64 {
-	// = cdf.P(float64(t)): CountLE is the complement of CellsAbove over
-	// the same integer column, and the division order is unchanged.
+	// = cdf.P(float64(t)): the cells at most t are the complement of
+	// CellsAbove over the same integer column, and the division order is
+	// unchanged.
 	return float64(len(d.locs)-d.CellsAbove(t)) / float64(len(d.locs))
 }
 
@@ -285,46 +286,4 @@ func Scale(cells []Cell, factor float64) ([]Cell, error) {
 		out[i].Locations = n
 	}
 	return out, nil
-}
-
-// TechMix summarizes the access technologies reported across locations.
-type TechMix struct {
-	Technology string
-	Locations  int
-	// ReliableShare is the fraction of the technology's locations
-	// meeting the 100/20 benchmark.
-	ReliableShare float64
-}
-
-// TechnologyMix aggregates locations by technology, sorted by location
-// count descending.
-func TechnologyMix(locs []Location) []TechMix {
-	type agg struct{ n, reliable int }
-	byTech := make(map[string]*agg)
-	for _, l := range locs {
-		a := byTech[l.Technology]
-		if a == nil {
-			a = &agg{}
-			byTech[l.Technology] = a
-		}
-		a.n++
-		if !l.Underserved() {
-			a.reliable++
-		}
-	}
-	out := make([]TechMix, 0, len(byTech))
-	for tech, a := range byTech {
-		out = append(out, TechMix{
-			Technology:    tech,
-			Locations:     a.n,
-			ReliableShare: float64(a.reliable) / float64(a.n),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Locations != out[j].Locations {
-			return out[i].Locations > out[j].Locations
-		}
-		return out[i].Technology < out[j].Technology
-	})
-	return out
 }

@@ -252,80 +252,3 @@ func RectArea(latLo, latHi, lngLo, lngHi float64) float64 {
 	frac := (lngHi - lngLo) / 360
 	return EarthAreaKm2 / 2 * band * frac
 }
-
-// Midpoint returns the point halfway along the great circle between a
-// and b.
-func Midpoint(a, b LatLng) LatLng {
-	return Intermediate(a, b, 0.5)
-}
-
-// Intermediate returns the point the given fraction of the way from a
-// to b along the great circle (0 = a, 1 = b). Antipodal endpoints have
-// no unique great circle; the result is then an arbitrary midpoint.
-func Intermediate(a, b LatLng, frac float64) LatLng {
-	va, vb := a.Vector(), b.Vector()
-	omega := va.AngleTo(vb)
-	if omega < 1e-12 {
-		return a
-	}
-	sinO := math.Sin(omega)
-	if sinO < 1e-12 {
-		// Antipodal: no unique great circle. Walk frac·π along an
-		// arbitrary one through both endpoints.
-		ortho := va.Cross(Vec3{X: 0, Y: 0, Z: 1})
-		if ortho.Norm() < 1e-9 {
-			ortho = va.Cross(Vec3{X: 1})
-		}
-		ortho = ortho.Unit()
-		theta := frac * math.Pi
-		return va.Scale(math.Cos(theta)).Add(ortho.Scale(math.Sin(theta))).LatLng()
-	}
-	wa := math.Sin((1-frac)*omega) / sinO
-	wb := math.Sin(frac*omega) / sinO
-	return va.Scale(wa).Add(vb.Scale(wb)).LatLng()
-}
-
-// CrossTrackKm returns the perpendicular distance from p to the great
-// circle through a and b (not the segment), in km.
-func CrossTrackKm(p, a, b LatLng) float64 {
-	normal := a.Vector().Cross(b.Vector()).Unit()
-	if normal.Norm() == 0 {
-		return DistanceKm(p, a)
-	}
-	sinD := p.Vector().Dot(normal)
-	return math.Abs(math.Asin(clamp(sinD, -1, 1))) * EarthRadiusKm
-}
-
-// BoundingCap returns the smallest-known cap centered on the points'
-// normalized centroid that contains all of them. Empty input returns a
-// zero cap.
-func BoundingCap(points []LatLng) Cap {
-	if len(points) == 0 {
-		return Cap{}
-	}
-	var sum Vec3
-	for _, p := range points {
-		sum = sum.Add(p.Vector())
-	}
-	center := sum.Unit()
-	if center.Norm() == 0 {
-		center = points[0].Vector()
-	}
-	c := Cap{Center: center.LatLng()}
-	for _, p := range points {
-		if d := AngularDistance(c.Center, p); d > c.Radius {
-			c.Radius = d
-		}
-	}
-	return c
-}
-
-func clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}

@@ -228,79 +228,3 @@ func TestAngleToStability(t *testing.T) {
 		t.Errorf("AngleTo tiny angle = %v, want %v", got, want)
 	}
 }
-
-func TestMidpointAndIntermediate(t *testing.T) {
-	a := LatLng{Lat: 0, Lng: 0}
-	b := LatLng{Lat: 0, Lng: 90}
-	mid := Midpoint(a, b)
-	if math.Abs(mid.Lat) > 1e-9 || math.Abs(mid.Lng-45) > 1e-9 {
-		t.Errorf("equatorial midpoint = %v, want 0,45", mid)
-	}
-	// Intermediate endpoints.
-	if d := DistanceKm(Intermediate(a, b, 0), a); d > 1e-6 {
-		t.Errorf("Intermediate(0) off by %v km", d)
-	}
-	if d := DistanceKm(Intermediate(a, b, 1), b); d > 1e-6 {
-		t.Errorf("Intermediate(1) off by %v km", d)
-	}
-	// Fractional distances accumulate linearly along the arc.
-	q := Intermediate(a, b, 0.25)
-	if math.Abs(DistanceKm(a, q)-0.25*DistanceKm(a, b)) > 1e-6 {
-		t.Error("Intermediate(0.25) not a quarter of the way")
-	}
-	// Coincident points.
-	if got := Intermediate(a, a, 0.5); DistanceKm(got, a) > 1e-9 {
-		t.Error("Intermediate of coincident points drifted")
-	}
-	// Antipodal points return a point equidistant from both.
-	anti := LatLng{Lat: 0, Lng: 180}
-	m := Intermediate(a, anti, 0.5)
-	if math.Abs(DistanceKm(a, m)-DistanceKm(anti, m)) > 1 {
-		t.Errorf("antipodal midpoint not equidistant: %v", m)
-	}
-}
-
-func TestCrossTrack(t *testing.T) {
-	a := LatLng{Lat: 0, Lng: 0}
-	b := LatLng{Lat: 0, Lng: 90}
-	// A point on the equator has zero cross-track distance.
-	if d := CrossTrackKm(LatLng{Lat: 0, Lng: 45}, a, b); d > 1e-6 {
-		t.Errorf("on-track distance = %v", d)
-	}
-	// A point 10° north is ~1,111 km off the equatorial track.
-	want := Radians(10) * EarthRadiusKm
-	if d := CrossTrackKm(LatLng{Lat: 10, Lng: 45}, a, b); math.Abs(d-want) > 1 {
-		t.Errorf("cross-track = %v, want %v", d, want)
-	}
-}
-
-func TestBoundingCap(t *testing.T) {
-	pts := []LatLng{
-		{Lat: 40, Lng: -100}, {Lat: 42, Lng: -98}, {Lat: 38, Lng: -102},
-	}
-	c := BoundingCap(pts)
-	for _, p := range pts {
-		if !c.Contains(p) {
-			t.Errorf("cap misses %v", p)
-		}
-	}
-	// Radius is tight-ish: no larger than the max pairwise distance.
-	maxPair := 0.0
-	for i := range pts {
-		for j := range pts {
-			if d := AngularDistance(pts[i], pts[j]); d > maxPair {
-				maxPair = d
-			}
-		}
-	}
-	if c.Radius > maxPair {
-		t.Errorf("cap radius %v exceeds max pairwise %v", c.Radius, maxPair)
-	}
-	if got := BoundingCap(nil); got.Radius != 0 {
-		t.Error("empty bounding cap should be zero")
-	}
-	single := BoundingCap(pts[:1])
-	if single.Radius != 0 || DistanceKm(single.Center, pts[0]) > 1e-6 {
-		t.Errorf("single-point cap = %+v", single)
-	}
-}

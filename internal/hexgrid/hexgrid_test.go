@@ -39,7 +39,9 @@ func TestResolution5MatchesH3Area(t *testing.T) {
 
 func TestEnumerationMatchesFormula(t *testing.T) {
 	for r := MinResolution; r <= 2; r++ {
-		if got, want := CountCells(r), r.NumCells(); got != want {
+		got := 0
+		ForEachCell(r, func(CellID) { got++ })
+		if want := r.NumCells(); got != want {
 			t.Errorf("res %d: enumerated %d cells, want %d", r, got, want)
 		}
 	}
@@ -197,32 +199,6 @@ func TestNeighborSymmetryMostly(t *testing.T) {
 	}
 	if frac := float64(symmetric) / float64(total); frac < 0.9 {
 		t.Errorf("neighbor symmetry %.2f < 0.9 (%d/%d)", frac, symmetric, total)
-	}
-}
-
-func TestRing(t *testing.T) {
-	id := LatLngToCell(geo.LatLng{Lat: 40, Lng: -100}, 3)
-	r0 := id.Ring(0)
-	if len(r0) != 1 || r0[0] != id {
-		t.Errorf("Ring(0) = %v", r0)
-	}
-	r1 := id.Ring(1)
-	r2 := id.Ring(2)
-	if len(r1) < 6 || len(r1) > 9 {
-		t.Errorf("Ring(1) has %d cells", len(r1))
-	}
-	if len(r2) <= len(r1) {
-		t.Errorf("Ring(2)=%d not larger than Ring(1)=%d", len(r2), len(r1))
-	}
-	// Ring(1) must include the center.
-	found := false
-	for _, c := range r1 {
-		if c == id {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("Ring(1) missing center cell")
 	}
 }
 

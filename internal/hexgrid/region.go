@@ -73,43 +73,3 @@ func RectFill(latLo, latHi, lngLo, lngHi float64, r Resolution) []CellID {
 	}
 	return out
 }
-
-// DiscFill returns all cells at resolution r whose centers lie within
-// radiusKm of center, in ascending CellID order.
-func DiscFill(center geo.LatLng, radiusKm float64, r Resolution) []CellID {
-	if !r.Valid() || radiusKm < 0 {
-		return nil
-	}
-	// BFS outward from the center cell.
-	start := LatLngToCell(center, r)
-	seen := map[CellID]bool{start: true}
-	frontier := []CellID{start}
-	var out []CellID
-	if geo.DistanceKm(center, start.LatLng()) <= radiusKm {
-		out = append(out, start)
-	}
-	// Expand while any frontier cell is within reach of the disc; one
-	// extra ring of slack catches boundary cells.
-	slackKm := geo.EarthRadiusKm * start.latticeSpacing() * 1.5
-	for len(frontier) > 0 {
-		var next []CellID
-		for _, id := range frontier {
-			for _, nb := range id.Neighbors() {
-				if seen[nb] {
-					continue
-				}
-				seen[nb] = true
-				d := geo.DistanceKm(center, nb.LatLng())
-				if d <= radiusKm {
-					out = append(out, nb)
-					next = append(next, nb)
-				} else if d <= radiusKm+slackKm {
-					next = append(next, nb)
-				}
-			}
-		}
-		frontier = next
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}

@@ -99,96 +99,3 @@ func TestRectFill(t *testing.T) {
 		t.Error("invalid resolution should return nil")
 	}
 }
-
-func TestDiscFill(t *testing.T) {
-	center := geo.LatLng{Lat: 38, Lng: -100}
-	cells := DiscFill(center, 400, 4)
-	if len(cells) == 0 {
-		t.Fatal("no cells")
-	}
-	discArea := math.Pi * 400 * 400
-	want := discArea / Resolution(4).AvgCellAreaKm2()
-	if math.Abs(float64(len(cells))-want)/want > 0.25 {
-		t.Errorf("DiscFill returned %d cells, want ≈%.0f", len(cells), want)
-	}
-	for _, id := range cells {
-		if geo.DistanceKm(center, id.LatLng()) > 400 {
-			t.Fatalf("cell %v outside disc", id)
-		}
-	}
-	// A disc smaller than one cell still returns the center cell.
-	tiny := DiscFill(center, 1, 4)
-	if len(tiny) > 1 {
-		t.Errorf("tiny disc returned %d cells", len(tiny))
-	}
-	if DiscFill(center, -1, 4) != nil {
-		t.Error("negative radius should return nil")
-	}
-}
-
-func TestDiscFillGrowsWithRadius(t *testing.T) {
-	center := geo.LatLng{Lat: 38, Lng: -100}
-	small := DiscFill(center, 200, 4)
-	big := DiscFill(center, 500, 4)
-	if len(big) <= len(small) {
-		t.Errorf("disc did not grow: %d -> %d", len(small), len(big))
-	}
-	// All small-disc cells appear in the big disc.
-	inBig := map[CellID]bool{}
-	for _, id := range big {
-		inBig[id] = true
-	}
-	for _, id := range small {
-		if !inBig[id] {
-			t.Fatalf("cell %v in small disc missing from big disc", id)
-		}
-	}
-}
-
-func TestParentChild(t *testing.T) {
-	fine := LatLngToCell(geo.LatLng{Lat: 40, Lng: -100}, 4)
-	parent, err := fine.ParentAt(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parent.Resolution() != 2 {
-		t.Fatalf("parent resolution = %d", parent.Resolution())
-	}
-	// The fine cell's center maps into the parent.
-	if LatLngToCell(fine.LatLng(), 2) != parent {
-		t.Error("parent does not contain child center")
-	}
-	// Children of the parent at the fine resolution include the cell.
-	children, err := parent.ChildrenAt(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, ch := range children {
-		if ch == fine {
-			found = true
-		}
-		if back, _ := ch.ParentAt(2); back != parent {
-			t.Fatalf("child %v maps to parent %v, want %v", ch, back, parent)
-		}
-	}
-	if !found {
-		t.Error("children missing the original fine cell")
-	}
-	// Roughly 7^2 children across two resolution steps (generous
-	// bounds: distortion varies cell sizes).
-	if len(children) < 25 || len(children) > 90 {
-		t.Errorf("got %d children across 2 levels, want ≈49", len(children))
-	}
-	// Errors.
-	if _, err := fine.ParentAt(5); err == nil {
-		t.Error("finer parent should fail")
-	}
-	if _, err := fine.ChildrenAt(2); err == nil {
-		t.Error("coarser children should fail")
-	}
-	same, err := fine.ChildrenAt(4)
-	if err != nil || len(same) != 1 || same[0] != fine {
-		t.Errorf("self children = %v, %v", same, err)
-	}
-}

@@ -71,10 +71,6 @@ func (w Walker) ISLGrid() (*ISLTopology, error) {
 	return t, nil
 }
 
-// Degree returns the link count of satellite i (4 on average; 3-6 at
-// phasing-rounding boundaries).
-func (t *ISLTopology) Degree(i int) int { return len(t.Links[i]) }
-
 // LinkDistanceKm returns the instantaneous distance of the link between
 // satellites i and j at time tSec.
 func (t *ISLTopology) LinkDistanceKm(orbits []CircularOrbit, i, j int, tSec float64) float64 {

@@ -18,8 +18,8 @@ func TestISLGridStructure(t *testing.T) {
 	}
 	totalDegree := 0
 	for i := range g.Links {
-		if d := g.Degree(i); d < 3 || d > 6 {
-			t.Fatalf("satellite %d has degree %d, want 3-6", i, g.Degree(i))
+		if d := len(g.Links[i]); d < 3 || d > 6 {
+			t.Fatalf("satellite %d has degree %d, want 3-6", i, d)
 		} else {
 			totalDegree += d
 		}

@@ -235,12 +235,6 @@ func CoverageRadiusKm(altitudeKm, minElevationDeg float64) float64 {
 	return re * lam
 }
 
-// Visible reports whether the satellite at ECEF position sat can be seen
-// from ground point p with at least minElevationDeg of elevation.
-func Visible(sat geo.Vec3, p geo.LatLng, minElevationDeg float64) bool {
-	return ElevationDeg(sat, p) >= minElevationDeg
-}
-
 // ElevationDeg returns the elevation angle of the satellite at ECEF
 // position sat as seen from ground point p, in degrees. Negative values
 // mean the satellite is below the horizon.
@@ -304,40 +298,4 @@ func (w Walker) LatitudeHistogram(binDeg float64, steps int) ([]float64, error) 
 		}
 	}
 	return out, nil
-}
-
-// J2 is Earth's dominant oblateness coefficient.
-const J2 = 1.08262668e-3
-
-// NodalPrecessionDegPerDay returns the secular RAAN drift rate a
-// circular orbit experiences from Earth's oblateness:
-//
-//	dΩ/dt = −(3/2)·J2·(Re/r)²·n·cos(i)
-//
-// Prograde orbits regress westward (negative); retrograde orbits
-// precess eastward. Sun-synchronous designs (e.g. Starlink's 97.6°
-// shells) pick the inclination whose precession matches the Sun's
-// apparent motion, +0.9856°/day.
-func (o CircularOrbit) NodalPrecessionDegPerDay(equatorialRadiusKm float64) float64 {
-	if equatorialRadiusKm <= 0 {
-		equatorialRadiusKm = 6378.137
-	}
-	r := o.RadiusKm()
-	n := o.MeanMotionRadPerSec() // rad/s
-	ratio := equatorialRadiusKm / r
-	radPerSec := -1.5 * J2 * ratio * ratio * n * math.Cos(geo.Radians(o.InclinationDeg))
-	return geo.Degrees(radPerSec) * 86400
-}
-
-// SunSynchronousInclinationDeg returns the inclination at which a
-// circular orbit at the given altitude precesses sun-synchronously.
-func SunSynchronousInclinationDeg(altitudeKm float64) float64 {
-	const targetDegPerDay = 360.0 / 365.2422
-	o := CircularOrbit{AltitudeKm: altitudeKm, InclinationDeg: 90}
-	r := o.RadiusKm()
-	n := o.MeanMotionRadPerSec()
-	ratio := 6378.137 / r
-	// Solve target = −(3/2)·J2·ratio²·n·cos(i) for i.
-	cosI := -geo.Radians(targetDegPerDay) / 86400 / (1.5 * J2 * ratio * ratio * n)
-	return geo.Degrees(math.Acos(cosI))
 }

@@ -93,20 +93,6 @@ func refinePass(elevation func(float64) float64, start, end float64) Pass {
 	}
 }
 
-// GroundTrack samples the satellite's subsatellite points over
-// [0, horizonSec] at stepSec intervals.
-func (o CircularOrbit) GroundTrack(horizonSec, stepSec float64) ([]geo.LatLng, error) {
-	if horizonSec <= 0 || stepSec <= 0 {
-		return nil, fmt.Errorf("orbit: horizon %v and step %v must be positive", horizonSec, stepSec)
-	}
-	n := int(horizonSec/stepSec) + 1
-	out := make([]geo.LatLng, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, o.SubsatellitePoint(stepSec*float64(i)))
-	}
-	return out, nil
-}
-
 // CoverageStats summarizes a constellation's service as seen from one
 // ground point over a time horizon.
 type CoverageStats struct {

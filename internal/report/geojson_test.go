@@ -95,39 +95,3 @@ func TestWriteGatewaysGeoJSON(t *testing.T) {
 		t.Error("length mismatch should fail")
 	}
 }
-
-func TestLineChart(t *testing.T) {
-	xs := []float64{1, 10, 100, 1000}
-	ys := []float64{0.1, 0.5, 0.9, 1.0}
-	var buf bytes.Buffer
-	c := NewLineChart("CDF")
-	c.LogX = true
-	c.XLabel = "locations/cell"
-	c.YLabel = "P"
-	if err := c.Render(&buf, xs, ys); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "CDF") || !strings.Contains(out, "*") {
-		t.Errorf("chart output missing content:\n%s", out)
-	}
-	if !strings.Contains(out, "locations/cell") {
-		t.Error("chart missing x label")
-	}
-	// Errors.
-	if err := c.Render(&buf, xs, ys[:2]); err == nil {
-		t.Error("length mismatch should fail")
-	}
-	if err := c.Render(&buf, xs[:1], ys[:1]); err == nil {
-		t.Error("single point should fail")
-	}
-}
-
-func TestLineChartFlatSeries(t *testing.T) {
-	// A constant series must not divide by zero.
-	var buf bytes.Buffer
-	c := NewLineChart("flat")
-	if err := c.Render(&buf, []float64{1, 2, 3}, []float64{5, 5, 5}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -99,20 +99,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Markdown renders the table as GitHub-flavored markdown.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "**%s**\n\n", t.Title)
-	}
-	b.WriteString("| " + strings.Join(t.header, " | ") + " |\n")
-	b.WriteString("|" + strings.Repeat("---|", len(t.header)) + "\n")
-	for _, r := range t.rows {
-		b.WriteString("| " + strings.Join(r, " | ") + " |\n")
-	}
-	return b.String()
-}
-
 // CSV renders the table as comma-separated values (no escaping beyond
 // what the simple numeric/label content needs).
 func (t *Table) CSV() string {

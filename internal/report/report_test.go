@@ -45,21 +45,6 @@ func TestFloatFormatting(t *testing.T) {
 	}
 }
 
-func TestMarkdown(t *testing.T) {
-	tb := NewTable("T", "a", "b")
-	tb.AddRow(1, 2)
-	md := tb.Markdown()
-	if !strings.Contains(md, "| a | b |") {
-		t.Errorf("markdown header missing: %q", md)
-	}
-	if !strings.Contains(md, "|---|---|") {
-		t.Errorf("markdown rule missing: %q", md)
-	}
-	if !strings.Contains(md, "| 1 | 2 |") {
-		t.Errorf("markdown row missing: %q", md)
-	}
-}
-
 func TestCSV(t *testing.T) {
 	tb := NewTable("T", "a", "b")
 	tb.AddRow(1, 2)

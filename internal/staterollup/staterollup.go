@@ -136,24 +136,6 @@ func stateAffordInput(dist *demand.Distribution, incomes *census.Table) (*afford
 	return afford.NewInput(census.NewTable(recs))
 }
 
-// National aggregates profiles back to a national summary, for
-// consistency checks against the direct national analysis.
-func National(profiles []StateProfile) StateProfile {
-	out := StateProfile{Abbr: "US", Name: "United States"}
-	for _, p := range profiles {
-		out.Locations += p.Locations
-		out.Cells += p.Cells
-		out.UnservableAt20 += p.UnservableAt20
-		if p.PeakCellLocations > out.PeakCellLocations {
-			out.PeakCellLocations = p.PeakCellLocations
-		}
-		if p.RequiredOversub > out.RequiredOversub {
-			out.RequiredOversub = p.RequiredOversub
-		}
-	}
-	return out
-}
-
 // TopStressed returns the n states whose densest cells force the
 // highest oversubscription — where LEO capacity bites first.
 func TopStressed(profiles []StateProfile, n int) []StateProfile {

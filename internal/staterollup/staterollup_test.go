@@ -86,27 +86,6 @@ func TestByState(t *testing.T) {
 	}
 }
 
-func TestNationalAggregation(t *testing.T) {
-	cells, incomes := testData(t)
-	profiles, err := ByState(DefaultConfig(), cells, incomes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nat := National(profiles)
-	if nat.PeakCellLocations != 4000 {
-		t.Errorf("national peak = %d, want 4000", nat.PeakCellLocations)
-	}
-	if nat.Locations <= 0 || nat.Cells <= 0 {
-		t.Errorf("national rollup empty: %+v", nat)
-	}
-	// National required oversubscription is the max over states.
-	for _, p := range profiles {
-		if p.RequiredOversub > nat.RequiredOversub {
-			t.Fatal("national oversubscription below a state's")
-		}
-	}
-}
-
 func TestTopStressed(t *testing.T) {
 	cells, incomes := testData(t)
 	profiles, err := ByState(DefaultConfig(), cells, incomes)

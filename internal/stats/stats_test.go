@@ -33,12 +33,6 @@ func TestCDFBasics(t *testing.T) {
 			t.Errorf("P(%v) = %v, want %v", tc.x, got, tc.want)
 		}
 	}
-	if got := c.CountLE(2); got != 3 {
-		t.Errorf("CountLE(2) = %d, want 3", got)
-	}
-	if got := c.CountGT(2); got != 2 {
-		t.Errorf("CountGT(2) = %d, want 2", got)
-	}
 	if got := c.Min(); got != 1 {
 		t.Errorf("Min = %v, want 1", got)
 	}
@@ -110,23 +104,6 @@ func TestQuantileInverseProperty(t *testing.T) {
 		}
 		q := float64(q01) / 255
 		return c.P(c.Quantile(q)) >= q-1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: CountLE + CountGT = Len.
-func TestCountPartitionProperty(t *testing.T) {
-	f := func(raw []float64, x float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		c, err := NewCDF(raw)
-		if err != nil {
-			return false
-		}
-		return c.CountLE(x)+c.CountGT(x) == c.Len()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -230,44 +207,17 @@ func TestWeightedMatchesUnweightedProperty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram([]float64{0.5, 1.5, 2.5, 2.6, 9.9, -5, 100}, 0, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.N != 7 {
-		t.Errorf("N = %d, want 7", h.N)
-	}
-	if h.Counts[0] != 2 { // 0.5 and the clamped -5
-		t.Errorf("Counts[0] = %d, want 2", h.Counts[0])
-	}
-	if h.Counts[2] != 2 {
-		t.Errorf("Counts[2] = %d, want 2", h.Counts[2])
-	}
-	if h.Counts[9] != 2 { // 9.9 and the clamped 100
-		t.Errorf("Counts[9] = %d, want 2", h.Counts[9])
-	}
-	if got := h.BinCenter(0); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("BinCenter(0) = %v, want 0.5", got)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(nil, 0, 1, 0); err == nil {
-		t.Error("nbins=0 should fail")
-	}
-	if _, err := NewHistogram(nil, 1, 1, 4); err == nil {
-		t.Error("empty range should fail")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	samples := make([]float64, 10000)
 	for i := range samples {
 		samples[i] = rng.NormFloat64()*2 + 10
 	}
-	s, err := Summarize(samples)
+	c, err := NewCDF(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := SummarizeCDF(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,8 +236,8 @@ func TestSummarize(t *testing.T) {
 	if s.String() == "" {
 		t.Error("String() empty")
 	}
-	if _, err := Summarize(nil); err == nil {
-		t.Error("Summarize(nil) should fail")
+	if _, err := SummarizeCDF(nil); err == nil {
+		t.Error("SummarizeCDF(nil) should fail")
 	}
 }
 
@@ -302,7 +252,11 @@ func TestSummaryOrderProperty(t *testing.T) {
 				return true
 			}
 		}
-		s, err := Summarize(raw)
+		c, err := NewCDF(raw)
+		if err != nil {
+			return false
+		}
+		s, err := SummarizeCDF(c)
 		if err != nil {
 			return false
 		}

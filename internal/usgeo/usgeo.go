@@ -35,11 +35,6 @@ type State struct {
 	RuralWeight float64
 }
 
-// Area returns the frame's area in km².
-func (s State) Area() float64 {
-	return geo.RectArea(s.LatLo, s.LatHi, s.LngLo, s.LngHi)
-}
-
 // Center returns the frame's central coordinate.
 func (s State) Center() geo.LatLng {
 	return geo.LatLng{Lat: (s.LatLo + s.LatHi) / 2, Lng: (s.LngLo + s.LngHi) / 2}
@@ -225,17 +220,6 @@ func Counties(s State) []County {
 	return out
 }
 
-// AllCounties returns every synthetic county in the country, sorted by
-// FIPS.
-func AllCounties() []County {
-	var out []County
-	for _, s := range States() {
-		out = append(out, Counties(s)...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].FIPS < out[j].FIPS })
-	return out
-}
-
 // CountyAt returns the county containing p, searching the containing
 // state's tiles.
 func CountyAt(p geo.LatLng) (County, bool) {
@@ -258,18 +242,6 @@ func TotalRuralWeight() float64 {
 		t += s.RuralWeight
 	}
 	return t
-}
-
-// ConusBounds returns the bounding frame of the contiguous United
-// States.
-func ConusBounds() (latLo, latHi, lngLo, lngHi float64) {
-	return 25.1, 49.4, -124.8, -66.9
-}
-
-// InConus reports whether p is inside the CONUS bounding frame.
-func InConus(p geo.LatLng) bool {
-	la, lh, lo, lg := ConusBounds()
-	return p.Lat >= la && p.Lat <= lh && p.Lng >= lo && p.Lng <= lg
 }
 
 // GatewaySite is one satellite ground-station (gateway) location.

@@ -37,9 +37,6 @@ func TestStatesTable(t *testing.T) {
 		if s.RuralWeight <= 0 {
 			t.Errorf("%s: nonpositive rural weight", s.Abbr)
 		}
-		if s.Area() <= 0 {
-			t.Errorf("%s: nonpositive area", s.Abbr)
-		}
 	}
 	// Texas has the most counties of any state.
 	tx, err := ByAbbr("TX")
@@ -213,22 +210,19 @@ func TestCountyAt(t *testing.T) {
 }
 
 func TestAllCounties(t *testing.T) {
-	all := AllCounties()
-	want := 0
-	for _, s := range States() {
-		want += s.Counties
-	}
-	if len(all) != want {
-		t.Fatalf("AllCounties = %d, want %d", len(all), want)
-	}
+	// Every state tiles its declared county count, and FIPS codes are
+	// unique across the country: the census table is keyed by them.
 	seen := map[string]bool{}
-	for i, c := range all {
-		if seen[c.FIPS] {
-			t.Errorf("duplicate FIPS %s", c.FIPS)
+	for _, s := range States() {
+		counties := Counties(s)
+		if len(counties) != s.Counties {
+			t.Errorf("%s: %d counties, want %d", s.Abbr, len(counties), s.Counties)
 		}
-		seen[c.FIPS] = true
-		if i > 0 && all[i].FIPS < all[i-1].FIPS {
-			t.Error("AllCounties not sorted by FIPS")
+		for _, c := range counties {
+			if seen[c.FIPS] {
+				t.Errorf("duplicate FIPS %s", c.FIPS)
+			}
+			seen[c.FIPS] = true
 		}
 	}
 }
@@ -236,19 +230,6 @@ func TestAllCounties(t *testing.T) {
 func TestTotalRuralWeight(t *testing.T) {
 	if w := TotalRuralWeight(); w <= 0 || math.IsNaN(w) {
 		t.Errorf("TotalRuralWeight = %v", w)
-	}
-}
-
-func TestConus(t *testing.T) {
-	if !InConus(geo.LatLng{Lat: 39, Lng: -98}) {
-		t.Error("Kansas should be in CONUS")
-	}
-	if InConus(geo.LatLng{Lat: 61, Lng: -150}) {
-		t.Error("Anchorage should not be in CONUS")
-	}
-	la, lh, lo, lg := ConusBounds()
-	if la >= lh || lo >= lg {
-		t.Error("degenerate CONUS bounds")
 	}
 }
 

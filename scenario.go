@@ -35,11 +35,9 @@ const ScenarioSchema = scenario.Schema
 // The zero value of every knob means "the paper's default"; obtain a
 // fully-populated copy from Normalized.
 //
-// Construct scenarios with NewScenarioConfig and functional options
-// (WithConstellation, WithMaxOversub, ...) rather than struct
-// literals: the options validate eagerly, so a typo'd constellation
-// name or out-of-range knob fails at construction instead of
-// surfacing later from CanonicalKey or BuildModel.
+// Build one as a struct literal (or from DefaultScenarioConfig) and
+// check it with Validate; ScenarioRequest.Apply validates the configs
+// it produces, and CanonicalKey refuses an invalid one.
 type ScenarioConfig struct {
 	RunConfig
 

@@ -33,14 +33,16 @@ func TestScenarioCanonicalKeyGolden(t *testing.T) {
 // overrides included, and selecting a non-default region changes the
 // key.
 func TestScenarioKeyRoundTrip(t *testing.T) {
-	cfg, err := NewScenarioConfig("xconst",
-		WithConstellation("kuiper"),
-		WithOversub(25),
-		WithSatelliteCostUSD(3e6),
-		WithDesignLifeYears(6),
-		WithScenarioRegion("brazil-rural"),
-	)
-	if err != nil {
+	cfg := ScenarioConfig{
+		RunConfig:        DefaultRunConfig(),
+		Experiment:       "xconst",
+		Constellation:    "kuiper",
+		MaxOversub:       25,
+		CostSatelliteUSD: 3e6,
+		CostLifeYears:    6,
+		Region:           "brazil-rural",
+	}
+	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	key, err := cfg.CanonicalKey()
